@@ -37,7 +37,6 @@ from .solver import (
     SolveReport,
     defect_correction_solve,
     exact_solution,
-    gradient_systems,
     jacobian_low_order,
     residual_second_order,
     source_term,
@@ -74,7 +73,6 @@ __all__ = [
     "f_measure",
     "g_measure",
     "generate",
-    "gradient_systems",
     "grid_to_text",
     "jacobian_low_order",
     "load_grid",

@@ -139,8 +139,9 @@ def parse_grid(source, name=""):
     Raises
     ------
     GridFormatError
-        Malformed header, wrong token count, out-of-range or repeated
-        vertex index, non-positive cell area -- all with a line number.
+        Malformed header, wrong token count, non-finite coordinate,
+        out-of-range or repeated vertex index, non-positive cell area -- all
+        with a line number.
     """
     text = source.read() if hasattr(source, "read") else source
     data_lines = []
@@ -198,6 +199,8 @@ def parse_grid(source, name=""):
             nodes[i, 1] = float(tokens[1])
         except ValueError:
             raise GridFormatError(f"bad coordinate {line!r}", line=lineno)
+        if not np.isfinite(nodes[i]).all():
+            raise GridFormatError(f"non-finite coordinate {line!r}", line=lineno)
 
     cells = []
     for c in range(n_cells):

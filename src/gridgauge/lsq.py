@@ -8,17 +8,25 @@ w_k = 1/d_k^p, the gradient of a field u solves the 2x2 normal system
 
 with du_k = u_k - u_j. The system is solved once per cell for unit-impulse
 data, giving per-neighbor coefficients (cx_k, cy_k) so that the gradient is
-the dot product sum_k (cx_k, cy_k) du_k. Coefficients are cached and reused
-by both the quality measures and the flow solver.
+the dot product sum_k (cx_k, cy_k) du_k. :func:`lsq_table` builds them for
+all cells at once, shared by the quality measures and the flow solver;
+:func:`build_system` is the per-stencil reference it is tested against.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse as sp
+
 from .errors import SingularStencilError
+from .grid import DEGENERACY_RTOL, _require_geometry
 
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12
+# Cells per block of lsq_table: bounds its temporary arrays, which set the
+# peak memory of analyze on large grids.
+BLOCK = 1024
 
 
 @dataclass
@@ -120,3 +128,119 @@ def apply_gradient(system, du):
         gx += system.cx[k] * du[k]
         gy += system.cy[k] * du[k]
     return (gx, gy)
+
+
+@dataclass
+class LsqTable:
+    """Stencils, gradient coefficients and F/G measures of all cells.
+
+    Row j of the CSR (indptr, indices, cx, cy) lists cell j's neighbors in
+    ascending order with their coefficients, zero where ``degenerate``.
+    f and g are NaN where degenerate.
+    """
+
+    degenerate: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+
+def _adjacency(grid, mode):
+    """Sorted neighbor lists of all cells as CSR (indptr, indices): cells
+    sharing an edge, or for mode="vertex" a node (C C^T less its diagonal,
+    C the cell-node incidence)."""
+    n = grid.n_cells
+    if mode == "face":
+        ends = np.array([(f.owner, f.neighbor) for f in grid.faces],
+                        dtype=np.int32).reshape(-1, 2)
+        ends = ends[ends[:, 1] != -1]
+        a = sp.csr_matrix((np.ones(len(ends), np.int8), ends.T), shape=(n, n))
+        a = a + a.T
+    elif mode == "vertex":
+        lengths = [len(c.vertices) for c in grid.cells]
+        verts = [v for c in grid.cells for v in c.vertices]
+        a = sp.csr_matrix((np.ones(len(verts), np.int8), verts,
+                           np.cumsum([0] + lengths)), shape=(n, grid.n_nodes))
+        a = a @ a.T
+        a.setdiag(0)
+        a.eliminate_zeros()
+    else:
+        raise ValueError(f"unknown stencil mode {mode!r}")
+    a.sort_indices()
+    return a.indptr, a.indices
+
+
+def _hypot(x, y):
+    # math.hypot, not np.hypot: they differ in the last ulp on some inputs.
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def _slot_sum(slots, values):
+    """Per-cell sums of flat per-neighbor values, added one neighbor slot
+    at a time, as the scalar loops add them, over a zero-padded layout."""
+    padded = np.zeros(slots.shape)
+    padded[slots] = values
+    out = np.zeros(len(slots))
+    for column in padded.T:
+        out += column
+    return out
+
+
+def lsq_table(grid, p=0, stencil_mode="face"):
+    """Build the :class:`LsqTable` of a grid.
+
+    A cell is degenerate where :func:`~gridgauge.grid.build_stencil` or
+    :func:`build_system` would raise. Cells are taken in blocks of BLOCK,
+    and all arithmetic follows the scalar functions operation for operation,
+    so the table equals their results bit for bit.
+    """
+    if p not in (0, 1):
+        raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
+    _require_geometry(grid)
+    indptr, indices = _adjacency(grid, stencil_mode)
+    n, nnz = grid.n_cells, len(indices)
+    xc, yc = grid.centroids.T
+    # A grid without cells may have no nodes, hence no bounding box.
+    tol = DEGENERACY_RTOL * grid.bbox_diagonal if n else 0.0
+    table = LsqTable(np.empty(n, dtype=bool), np.empty(n), np.empty(n),
+                     indptr, indices, np.empty(nnz), np.empty(nnz))
+    for lo in range(0, n, BLOCK):
+        rows = slice(lo, min(lo + BLOCK, n))
+        flat = slice(indptr[rows.start], indptr[rows.stop])
+        length = np.diff(indptr[rows.start:rows.stop + 1])
+        row = np.repeat(np.arange(len(length)), length)
+        slots = np.arange(length.max(initial=0)) < length[:, None]
+        nb = indices[flat]
+        dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
+        d = _hypot(dx, dy)
+        # Degenerate cells divide by zero here; their results are masked.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
+            bx, by = w2 * dx, w2 * dy
+            m11, m12, m22, s = (_slot_sum(slots, v) for v in
+                                (bx * dx, bx * dy, by * dy, w2 * d))
+            det = m11 * m22 - m12 * m12
+            fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
+            too_close = np.bincount(row[d < tol], minlength=len(length))
+            bad = ((length < 2) | (too_close > 0)
+                   | (det <= SINGULARITY_EPS * fro2))
+            cx = np.where(bad[row], 0.0,
+                          (m22[row] * bx - m12[row] * by) / det[row])
+            cy = np.where(bad[row], 0.0,
+                          (m11[row] * by - m12[row] * bx) / det[row])
+
+            # G: gradient of the bump exp(-(x^2 + y^2)) in offsets scaled
+            # by the farthest neighbor distance.
+            smax = np.zeros(len(length))
+            np.maximum.at(smax, row, d)
+            x, y = dx / smax[row], dy / smax[row]
+            bump = np.array(list(map(math.exp, (-(x * x + y * y)).tolist())))
+            gx, gy = (_slot_sum(slots, c * (bump - 1.0)) for c in (cx, cy))
+            table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
+            table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
+        table.degenerate[rows] = bad
+        table.cx[flat], table.cy[flat] = cx, cy
+    return table

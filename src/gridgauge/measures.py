@@ -9,26 +9,21 @@ Two measures are computed from each cell's least-squares gradient stencil:
   neighbor distance. Dimensionless, ideal value 0 (reached on centrally
   symmetric stencils).
 
-``analyze`` evaluates both for every cell and aggregates min/max/avg over
-the non-degenerate cells. Worker count for the per-cell sweep is capped by
-the GRIDGAUGE_THREADS environment variable (default: all cores).
+``analyze`` takes both for every cell from the LSQ table and aggregates
+min/max/avg over the non-degenerate cells. The GRIDGAUGE_THREADS environment
+variable is validated but has no effect.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGridError,
-    DegenerateStencilError,
-    SingularStencilError,
-)
-from .grid import _require_geometry, build_stencil
-from .lsq import apply_gradient, build_system
+from .errors import DegenerateGridError
+from .grid import _require_geometry
+from .lsq import apply_gradient, lsq_table
 
 CSV_HEADER = (
     "grid_name,ncells,p,stencil_mode,"
@@ -104,32 +99,16 @@ def g_measure(stencil, system):
     return smax * math.hypot(gx, gy)
 
 
-def worker_count():
-    """Worker cap from GRIDGAUGE_THREADS, defaulting to all cores."""
+def _check_threads_env():
+    """Reject a non-integer GRIDGAUGE_THREADS. The value is otherwise unused:
+    the sweep runs in one thread, as threads gain nothing on it (GIL)."""
     env = os.environ.get("GRIDGAUGE_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"GRIDGAUGE_THREADS must be an integer, got {env!r}"
-            ) from None
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
-def _measure_range(grid, p, stencil_mode, lo, hi, f_out, g_out, bad_out):
-    for j in range(lo, hi):
-        try:
-            stencil = build_stencil(grid, j, stencil_mode)
-            system = build_system(stencil, p)
-        except (DegenerateStencilError, SingularStencilError):
-            f_out[j] = math.nan
-            g_out[j] = math.nan
-            bad_out[j] = True
-            continue
-        f_out[j] = f_measure(stencil, system)
-        g_out[j] = g_measure(stencil, system)
+    try:
+        int(env or "0")
+    except ValueError:
+        raise ValueError(
+            f"GRIDGAUGE_THREADS must be an integer, got {env!r}"
+        ) from None
 
 
 def analyze(grid, p=0, stencil_mode="face"):
@@ -147,31 +126,9 @@ def analyze(grid, p=0, stencil_mode="face"):
     n = grid.n_cells
     if n == 0:
         raise DegenerateGridError("grid has no cells")
-    f_values = np.empty(n)
-    g_values = np.empty(n)
-    degenerate = np.zeros(n, dtype=bool)
-
-    workers = min(worker_count(), n) or 1
-    if workers <= 1 or n < 256:
-        _measure_range(grid, p, stencil_mode, 0, n, f_values, g_values, degenerate)
-    else:
-        # Adjacency caches are built once up front so the worker threads
-        # only read the (immutable) grid.
-        try:
-            build_stencil(grid, 0, stencil_mode)
-        except DegenerateStencilError:
-            pass
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(
-                    _measure_range, grid, p, stencil_mode,
-                    int(lo), int(hi), f_values, g_values, degenerate,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for job in jobs:
-                job.result()
+    _check_threads_env()
+    table = lsq_table(grid, p, stencil_mode)
+    f_values, g_values, degenerate = table.f, table.g, table.degenerate
 
     n_bad = int(degenerate.sum())
     if n_bad * 2 > n:

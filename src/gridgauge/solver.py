@@ -1,8 +1,8 @@
 """Model implicit solver: steady linear advection on an unstructured grid.
 
 The discretization is a second-order cell-centered finite-volume scheme.
-Face states are reconstructed to face midpoints with the cached
-least-squares gradients and fed to the scalar upwind flux
+Face states are reconstructed to face midpoints with the least-squares
+gradients of the LSQ table and fed to the scalar upwind flux
 
     flux(uL, uR, n) = 0.5 (a.n)(uL + uR) - 0.5 |a.n| (uR - uL)
 
@@ -28,9 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateStencilError, SingularStencilError
-from .grid import _require_geometry, build_stencil
-from .lsq import build_system
+from .grid import _require_geometry
+from .lsq import lsq_table
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
@@ -81,60 +80,14 @@ class SolveReport:
             stream.write(f"{i},{r:.17g},{w:.17g}\n")
 
 
-def gradient_systems(grid, p=0, stencil_mode="face"):
-    """Per-cell stencils and solved systems for the reconstruction.
-
-    Cells whose stencil is degenerate or singular get None entries; the
-    residual treats them as locally first-order (zero gradient).
-    """
-    stencils = []
-    systems = []
-    for j in range(grid.n_cells):
-        try:
-            stencil = build_stencil(grid, j, stencil_mode)
-            system = build_system(stencil, p)
-        except (DegenerateStencilError, SingularStencilError):
-            stencil = None
-            system = None
-        stencils.append(stencil)
-        systems.append(system)
-    return stencils, systems
-
-
-def _gradient_operators(grid, stencils, systems):
-    """Sparse Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u)."""
-    rows, cols, vx, vy = [], [], [], []
-    for stencil, system in zip(stencils, systems):
-        if stencil is None:
-            continue
-        j = stencil.cell
-        sx = sy = 0.0
-        for k, nb in enumerate(stencil.neighbors):
-            rows.append(j)
-            cols.append(nb)
-            vx.append(system.cx[k])
-            vy.append(system.cy[k])
-            sx += system.cx[k]
-            sy += system.cy[k]
-        rows.append(j)
-        cols.append(j)
-        vx.append(-sx)
-        vy.append(-sy)
-    n = grid.n_cells
-    gx = sp.csr_matrix((vx, (rows, cols)), shape=(n, n))
-    gy = sp.csr_matrix((vy, (rows, cols)), shape=(n, n))
-    return gx, gy
-
-
 class _Advection:
     """Packed face arrays and residual/Jacobian evaluation for one setup."""
 
-    def __init__(self, grid, theta, stencils=None, systems=None,
+    def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
         _require_geometry(grid)
         self.grid = grid
         self.theta = theta
-        self.first_order = first_order
         n = grid.n_cells
 
         t = math.radians(theta)
@@ -172,18 +125,20 @@ class _Advection:
         )
 
         if first_order:
-            self.gx_op = None
-            self.gy_op = None
+            self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
-            self.gx_op, self.gy_op = _gradient_operators(grid, stencils, systems)
+            # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u). The
+            # matvec adds each row's entries in order, as the scalar kernel
+            # does; the subtraction drops zeros, so degenerate rows are empty.
+            table = lsq_table(grid, p, stencil_mode)
+            ops = [sp.csr_matrix((c, table.indices, table.indptr), shape=(n, n))
+                   for c in (table.cx, table.cy)]
+            self.gx_op, self.gy_op = (g - sp.diags(g @ np.ones(n)) for g in ops)
 
     def residual(self, u):
         n = self.grid.n_cells
-        if self.first_order:
-            gx = gy = np.zeros(n)
-        else:
-            gx = self.gx_op @ u
-            gy = self.gy_op @ u
+        gx = self.gx_op @ u
+        gy = self.gy_op @ u
 
         res = np.zeros(n)
         own, nb = self.own, self.nb
@@ -226,15 +181,16 @@ class _Advection:
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def residual_second_order(grid, stencils, systems, u, theta, *,
+def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",
                           first_order=False, source=source_term,
                           inflow=exact_solution):
     """Second-order residual of state u (per cell, integral form).
 
-    ``source`` and ``inflow`` default to the manufactured problem; tests may
-    override them (e.g. with zeros) to probe conservation.
+    p and stencil_mode select the gradient stencils. ``source`` and
+    ``inflow`` default to the manufactured problem; tests may override them
+    (e.g. with zeros) to probe conservation.
     """
-    op = _Advection(grid, theta, stencils, systems,
+    op = _Advection(grid, theta, p, stencil_mode,
                     first_order=first_order, source=source, inflow=inflow)
     return op.residual(np.asarray(u, dtype=float))
 
@@ -256,11 +212,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     spec.validate()
     _require_geometry(grid)
 
-    if spec.first_order:
-        op = _Advection(grid, spec.theta, first_order=True)
-    else:
-        stencils, systems = gradient_systems(grid, p, stencil_mode)
-        op = _Advection(grid, spec.theta, stencils, systems)
+    op = _Advection(grid, spec.theta, p, stencil_mode,
+                    first_order=spec.first_order)
 
     n = grid.n_cells
     u = np.zeros(n)

@@ -110,6 +110,20 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_non_finite_coordinate_input_error(tmp_path, capsys, command):
+    # 2x2 quads with the center node at nan
+    path = tmp_path / "nan.txt"
+    path.write_text(
+        "9 4\n0 0\n0.5 0\n1 0\n0 0.5\nnan 0.25\n1 0.5\n0 1\n0.5 1\n1 1\n"
+        "4 0 1 4 3\n4 1 2 5 4\n4 3 4 7 6\n4 4 5 8 7\n"
+    )
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert "line 6" in err
+
+
 def test_analyze_degenerate_grid_numerical_exit(tmp_path, capsys):
     # 1x3 strip: all stencils unusable in face mode
     path = tmp_path / "strip.txt"

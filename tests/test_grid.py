@@ -85,6 +85,15 @@ def test_parse_wrong_node_token_count():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_non_finite_coordinate(value):
+    bad = UNIT_QUAD.replace("1.0 0.0", f"1.0 {value}", 1)
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(bad)
+    assert "non-finite" in str(err.value)
+    assert "line 3" in str(err.value)
+
+
 def test_parse_wrong_cell_token_count():
     bad = UNIT_QUAD.replace("4 0 1 2 3", "4 0 1 2")
     with pytest.raises(GridFormatError):

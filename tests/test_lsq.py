@@ -2,13 +2,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridgauge import (
+    Cell,
+    DegenerateStencilError,
+    GenSpec,
+    Grid,
     SingularStencilError,
     Stencil,
     apply_gradient,
+    build_stencil,
     build_system,
+    derive_geometry,
+    f_measure,
+    g_measure,
+    generate,
 )
+from gridgauge import lsq
+from gridgauge.solver import _Advection
 
 
 def make_stencil(dx, dy):
@@ -170,3 +182,95 @@ def test_unit_impulse_reproduction():
         gx, gy = apply_gradient(system, list(st.dy))
         assert gx == pytest.approx(0.0, abs=1e-12)
         assert gy == pytest.approx(1.0, abs=1e-12)
+
+
+def notch_grid():
+    """4x2 quads without the two top-right cells: cell 2 has two collinear
+    face neighbors (singular), cell 3 one neighbor (degenerate)."""
+    quad = generate(GenSpec(kind="quad", nx=5, ny=3))
+    cells = [Cell(vertices=c.vertices) for c in quad.cells[:6]]
+    return derive_geometry(Grid(name="notch", nodes=quad.nodes, cells=cells))
+
+
+def far_grid():
+    """2x2 quads plus one cell so far away that the block's centroid
+    spacing falls below the degeneracy threshold."""
+    quad = generate(GenSpec(kind="quad", nx=3, ny=3))
+    far = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + 3.0e13
+    cells = [Cell(vertices=c.vertices) for c in quad.cells]
+    cells.append(Cell(vertices=(9, 10, 11, 12)))
+    nodes = np.vstack([quad.nodes, far])
+    return derive_geometry(Grid(name="far", nodes=nodes, cells=cells))
+
+
+def scalar_table(grid, p, mode):
+    """Degenerate mask, F, G and the gradient operators Gx, Gy from the
+    per-cell scalar functions."""
+    n = grid.n_cells
+    bad = np.zeros(n, dtype=bool)
+    f = np.full(n, np.nan)
+    g = np.full(n, np.nan)
+    rows, cols, vx, vy = [], [], [], []
+    for j in range(n):
+        try:
+            stencil = build_stencil(grid, j, mode)
+            system = build_system(stencil, p)
+        except (DegenerateStencilError, SingularStencilError):
+            bad[j] = True
+            continue
+        f[j] = f_measure(stencil, system)
+        g[j] = g_measure(stencil, system)
+        sx = sy = 0.0
+        for k, nb in enumerate(stencil.neighbors):
+            rows.append(j)
+            cols.append(nb)
+            vx.append(system.cx[k])
+            vy.append(system.cy[k])
+            sx += system.cx[k]
+            sy += system.cy[k]
+        rows.append(j)
+        cols.append(j)
+        vx.append(-sx)
+        vy.append(-sy)
+    ops = [sp.csr_matrix((v, (rows, cols)), shape=(n, n)) for v in (vx, vy)]
+    return bad, f, g, ops
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("mode", ["face", "vertex"])
+@pytest.mark.parametrize(
+    "kind", ["quad", "quad_ar", "tri_regular", "tri_irregular", "notch", "far"]
+)
+def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
+    if kind == "notch":
+        grid = notch_grid()
+    elif kind == "far":
+        grid = far_grid()
+    else:
+        grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=4))
+    # Blocks smaller than the grid, not dividing its cell count.
+    monkeypatch.setattr(lsq, "BLOCK", 100 if grid.n_cells > 100 else 4)
+    bad, f, g, ops = scalar_table(grid, p, mode)
+    table = lsq.lsq_table(grid, p, mode)
+    assert np.array_equal(table.degenerate, bad)
+    assert np.array_equal(table.f, f, equal_nan=True)
+    assert np.array_equal(table.g, g, equal_nan=True)
+    advection = _Advection(grid, 30.0, p, mode)
+    for got, want in zip((advection.gx_op, advection.gy_op), ops):
+        want.eliminate_zeros()
+        assert got.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    if kind == "notch":
+        assert bad[3] and bad[2] == (mode == "face")
+    if kind == "far":
+        assert bad.all()
+
+
+def test_notch_grid_has_singular_and_degenerate_cells():
+    grid = notch_grid()
+    with pytest.raises(SingularStencilError):
+        build_system(build_stencil(grid, 2, "face"))
+    with pytest.raises(DegenerateStencilError):
+        build_stencil(grid, 3, "face")

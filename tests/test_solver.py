@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from gridgauge import (
+    DegenerateStencilError,
     GenSpec,
     ProblemSpec,
+    SingularStencilError,
     apply_gradient,
+    build_stencil,
+    build_system,
     defect_correction_solve,
     exact_solution,
     generate,
-    gradient_systems,
     jacobian_low_order,
     residual_second_order,
     source_term,
@@ -30,11 +33,26 @@ def zero_inflow(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def scalar_systems(grid):
+    """Per-cell face stencils and solved systems from the scalar functions,
+    None where the stencil is degenerate or singular."""
+    stencils = []
+    systems = []
+    for j in range(grid.n_cells):
+        try:
+            stencil = build_stencil(grid, j)
+            system = build_system(stencil)
+        except (DegenerateStencilError, SingularStencilError):
+            stencil = system = None
+        stencils.append(stencil)
+        systems.append(system)
+    return stencils, systems
+
+
 def injected_residual(nx, theta):
     grid = generate(GenSpec(kind="quad", nx=nx, ny=nx))
-    stencils, systems = gradient_systems(grid)
     u = exact_solution(grid.centroids[:, 0], grid.centroids[:, 1])
-    return residual_second_order(grid, stencils, systems, u, theta)
+    return residual_second_order(grid, u, theta)
 
 
 def test_source_term_matches_directional_derivative():
@@ -63,9 +81,8 @@ def test_residual_second_order_refinement(pair):
 
 def test_zero_state_zero_data_zero_residual():
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.3, seed=5))
-    stencils, systems = gradient_systems(grid)
     res = residual_second_order(
-        grid, stencils, systems, np.zeros(grid.n_cells), 30.0,
+        grid, np.zeros(grid.n_cells), 30.0,
         source=zero_source, inflow=zero_inflow,
     )
     assert np.abs(res).max() == 0.0
@@ -73,16 +90,16 @@ def test_zero_state_zero_data_zero_residual():
 
 def test_single_cell_residual_finite():
     grid = generate(GenSpec(kind="quad", nx=2, ny=2))
-    stencils, systems = gradient_systems(grid)
+    stencils, systems = scalar_systems(grid)
     assert stencils == [None]
-    res = residual_second_order(grid, stencils, systems, np.zeros(1), 30.0)
+    res = residual_second_order(grid, np.zeros(1), 30.0)
     assert res.shape == (1,)
     assert np.isfinite(res).all()
 
 
 def test_linear_field_exact_away_from_fallback_cells():
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.3, seed=1))
-    stencils, systems = gradient_systems(grid)
+    stencils, systems = scalar_systems(grid)
     cx, cy = grid.centroids[:, 0], grid.centroids[:, 1]
     theta = 25.0
     t = math.radians(theta)
@@ -96,7 +113,7 @@ def test_linear_field_exact_away_from_fallback_cells():
         return 3.0 * x - 2.0 * y
 
     res = residual_second_order(
-        grid, stencils, systems, 3.0 * cx - 2.0 * cy, theta,
+        grid, 3.0 * cx - 2.0 * cy, theta,
         source=src, inflow=inflow,
     )
     affected = set(j for j, s in enumerate(stencils) if s is None)
@@ -202,12 +219,12 @@ def test_solution_accuracy_order():
 
 def test_conservation_interior_fluxes_cancel():
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.3, seed=7))
-    stencils, systems = gradient_systems(grid)
+    stencils, systems = scalar_systems(grid)
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.0, 1.0, grid.n_cells)
     theta = 40.0
     res = residual_second_order(
-        grid, stencils, systems, u, theta, source=zero_source, inflow=zero_inflow
+        grid, u, theta, source=zero_source, inflow=zero_inflow
     )
 
     # independent tally of the boundary fluxes only
