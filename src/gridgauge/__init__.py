@@ -10,6 +10,7 @@ from .errors import (
 from .grid import (
     Cell,
     Face,
+    FaceArrays,
     Grid,
     Stencil,
     build_stencil,
@@ -51,6 +52,7 @@ __all__ = [
     "DegenerateGridError",
     "DegenerateStencilError",
     "Face",
+    "FaceArrays",
     "GenSpec",
     "Grid",
     "GridFormatError",

@@ -15,6 +15,7 @@ restores the grid's name; all other comments are ignored.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,20 +24,23 @@ from .errors import DegenerateStencilError, GridFormatError
 # Distances below this fraction of the bounding-box diagonal make a
 # neighbor unusable for gradient reconstruction.
 DEGENERACY_RTOL = 1e-13
+# Slot numbers of the padded (n, 4) cell-node table.
+_SLOTS = np.arange(4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
-    """Polygonal cell: 3 or 4 node indices in counter-clockwise order."""
+    """Read-only view of one cell: 3 or 4 node indices in counter-clockwise
+    order, and its centroid and area once geometry is derived."""
 
     vertices: tuple
     centroid: tuple | None = None
     area: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Face:
-    """Edge of a cell; ``neighbor`` is -1 on the boundary.
+    """Read-only view of one edge; ``neighbor`` is -1 on the boundary.
 
     The unit normal points out of the owner cell.
     """
@@ -48,6 +52,25 @@ class Face:
     normal: tuple
     length: float
     midpoint: tuple
+
+
+@dataclass
+class FaceArrays:
+    """All faces in discovery order: cells in index order, each cell's edges
+    in vertex order, every edge at its first occurrence.
+
+    The owner traverses its face from ``node_a`` to ``node_b``; ``neighbor``
+    is the other cell, -1 on the boundary. ``normal`` (m, 2) is the unit
+    normal out of the owner, ``midpoint`` (m, 2) the edge midpoint.
+    """
+
+    node_a: np.ndarray
+    node_b: np.ndarray
+    owner: np.ndarray
+    neighbor: np.ndarray
+    normal: np.ndarray
+    length: np.ndarray
+    midpoint: np.ndarray
 
 
 @dataclass
@@ -67,14 +90,24 @@ class Stencil:
 
 @dataclass
 class Grid:
-    """Immutable after :func:`derive_geometry`; queries are then pure."""
+    """Immutable after :func:`derive_geometry`; queries are then pure.
+
+    ``cell_nodes`` is the (n, 4) node table, padded with -1 after each cell's
+    ``cell_nverts`` (3 or 4) vertices. :func:`derive_geometry` fills
+    ``centroids`` (n, 2), ``areas`` and ``face_arrays``. ``cells`` and
+    ``faces`` are read-only :class:`Cell`/:class:`Face` views of these
+    arrays, built on first access.
+    """
 
     name: str
     nodes: np.ndarray
-    cells: list
-    faces: list | None = None
+    cell_nodes: np.ndarray
+    cell_nverts: np.ndarray
     centroids: np.ndarray | None = None
     areas: np.ndarray | None = None
+    face_arrays: FaceArrays | None = None
+    _cells: tuple | None = field(default=None, repr=False, compare=False)
+    _faces: tuple | None = field(default=None, repr=False, compare=False)
     _face_adj: list | None = field(default=None, repr=False, compare=False)
     _vertex_adj: list | None = field(default=None, repr=False, compare=False)
     _bbox_diag: float | None = field(default=None, repr=False, compare=False)
@@ -85,7 +118,33 @@ class Grid:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self.cell_nverts)
+
+    @property
+    def cells(self):
+        if self._cells is None:
+            verts = [tuple(row[:k]) for row, k in
+                     zip(self.cell_nodes.tolist(), self.cell_nverts.tolist())]
+            if self.centroids is None:
+                self._cells = tuple(map(Cell, verts))
+            else:
+                self._cells = tuple(map(Cell, verts,
+                                        map(tuple, self.centroids.tolist()),
+                                        self.areas.tolist()))
+        return self._cells
+
+    @property
+    def faces(self):
+        fa = self.face_arrays
+        if fa is None:
+            return None
+        if self._faces is None:
+            self._faces = tuple(map(
+                Face, fa.node_a.tolist(), fa.node_b.tolist(),
+                fa.owner.tolist(), fa.neighbor.tolist(),
+                map(tuple, fa.normal.tolist()), fa.length.tolist(),
+                map(tuple, fa.midpoint.tolist())))
+        return self._faces
 
     @property
     def bbox(self):
@@ -99,6 +158,33 @@ class Grid:
             x0, y0, x1, y1 = self.bbox
             self._bbox_diag = math.hypot(x1 - x0, y1 - y0)
         return self._bbox_diag
+
+
+def _hypot(x, y):
+    """Elementwise math.hypot of two float arrays. np.hypot differs from it
+    in the last ulp on some inputs."""
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def _edge_ends(cell_nodes, nverts):
+    """End node of the edge that starts at each slot of the cell table, and
+    which slots hold a vertex."""
+    valid = _SLOTS < nverts[:, None]
+    end = np.where(_SLOTS + 1 < nverts[:, None], np.roll(cell_nodes, -1, 1),
+                   cell_nodes[:, :1])
+    return end, valid
+
+
+def _signed_areas(nodes, cell_nodes, nverts):
+    """Shoelace area of every cell, summed in vertex order as
+    :func:`_signed_area` sums it."""
+    end, valid = _edge_ends(cell_nodes, nverts)
+    x, y = nodes[:, 0], nodes[:, 1]
+    a = np.zeros(len(nverts))
+    for k in range(4):
+        s, e = cell_nodes[:, k], end[:, k]
+        a = np.where(valid[:, k], a + (x[s] * y[e] - x[e] * y[s]), a)
+    return 0.5 * a
 
 
 def _signed_area(pts):
@@ -116,7 +202,8 @@ def _polygon_centroid_area(pts):
     """Exact area centroid via a signed triangle fan from the first vertex.
 
     For triangles this is the vertex mean; for quads it is the area-weighted
-    mean of the two triangles split along the (v0, v2) diagonal.
+    mean of the two triangles split along the (v0, v2) diagonal. The scalar
+    reference that tests hold :func:`derive_geometry` to.
     """
     x0, y0 = pts[0]
     cx = cy = area = 0.0
@@ -128,6 +215,14 @@ def _polygon_centroid_area(pts):
         cx += a * (x0 + x1 + x2) / 3.0
         cy += a * (y0 + y1 + y2) / 3.0
     return (cx / area, cy / area), area
+
+
+def _comment_name(line, name):
+    """The grid name after the stripped comment line ``line``."""
+    comment = line[1:].strip()
+    if comment.startswith("name:"):
+        return comment[len("name:"):].strip()
+    return name
 
 
 def parse_grid(source, name=""):
@@ -144,18 +239,76 @@ def parse_grid(source, name=""):
         with a line number.
     """
     text = source.read() if hasattr(source, "read") else source
+    grid = _parse_bulk(text, name)
+    return grid if grid is not None else _parse_lines(text, name)
+
+
+def _parse_bulk(text, name):
+    """parse_grid for files whose comment and blank lines all precede the
+    header, converting all nodes and all cells at once. Returns None for
+    any other file and wherever a check fails; :func:`_parse_lines` then
+    parses the file or raises the error of its first bad line."""
+    lines = text.splitlines()
+    for start, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        if line:
+            name = _comment_name(line, name)
+    else:
+        return None
+    tokens = list(map(str.split, lines[start:]))
+    try:
+        n_nodes, n_cells = map(int, tokens[0])
+    except ValueError:
+        return None
+    if min(n_nodes, n_cells) < 0 or len(tokens) != 1 + n_nodes + n_cells:
+        return None
+    node_tokens, cell_tokens = tokens[1:1 + n_nodes], tokens[1 + n_nodes:]
+    lengths = np.fromiter(map(len, cell_tokens), np.intp, n_cells)
+    if (np.fromiter(map(len, node_tokens), np.intp, n_nodes) != 2).any() \
+            or (lengths < 4).any():
+        return None
+    try:
+        nodes = np.fromiter(map(float, chain.from_iterable(node_tokens)),
+                            float, 2 * n_nodes).reshape(n_nodes, 2)
+        flat = np.fromiter(map(int, chain.from_iterable(cell_tokens)),
+                           np.int64, lengths.sum())
+    except (ValueError, OverflowError):
+        return None
+    first = np.cumsum(lengths) - lengths
+    nverts = flat[first].astype(np.intp)
+    inside = _SLOTS < nverts[:, None]
+    if not (np.isfinite(nodes).all() and ((nverts == 3) | (nverts == 4)).all()
+            and (lengths == nverts + 1).all()):
+        return None
+    verts = flat[(first[:, None] + 1 + _SLOTS)[inside]]
+    if ((verts < 0) | (verts >= n_nodes)).any():
+        return None
+    cell_nodes = np.full((n_cells, 4), -1, dtype=np.intp)
+    cell_nodes[inside] = verts
+    # Padding is -1, so it never equals a vertex index.
+    if any((cell_nodes[:, i] == cell_nodes[:, k]).any()
+           for i in range(4) for k in range(i + 1, 4)):
+        return None
+    if (_signed_areas(nodes, cell_nodes, nverts) <= 0.0).any():
+        return None
+    return Grid(name=name, nodes=nodes, cell_nodes=cell_nodes,
+                cell_nverts=nverts)
+
+
+def _parse_lines(text, name):
+    """parse_grid one line at a time: the reference for every file, and the
+    source of each error message and line number."""
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            comment = line[1:].strip()
-            if comment.startswith("name:"):
-                name = comment[len("name:"):].strip()
+            name = _comment_name(line, name)
             continue
         data_lines.append((lineno, line))
-
     if not data_lines:
         raise GridFormatError("empty grid file", line=1)
 
@@ -234,9 +387,11 @@ def parse_grid(source, name=""):
                 "cell has non-positive area (vertices must be counter-clockwise)",
                 line=lineno,
             )
-        cells.append(Cell(vertices=verts))
+        cells.append(verts + (-1,) * (4 - nverts))
 
-    return Grid(name=name, nodes=nodes, cells=cells)
+    cell_nodes = np.array(cells, dtype=np.intp).reshape(-1, 4)
+    return Grid(name=name, nodes=nodes, cell_nodes=cell_nodes,
+                cell_nverts=(cell_nodes >= 0).sum(axis=1))
 
 
 def write_grid(grid, stream):
@@ -246,9 +401,14 @@ def write_grid(grid, stream):
     stream.write(f"{grid.n_nodes} {grid.n_cells}\n")
     for x, y in grid.nodes:
         stream.write(f"{float(x)!r} {float(y)!r}\n")
-    for cell in grid.cells:
-        verts = " ".join(str(v) for v in cell.vertices)
-        stream.write(f"{len(cell.vertices)} {verts}\n")
+    stream.writelines(cell_lines(grid))
+
+
+def cell_lines(grid):
+    """Lines "<nverts> v1 ... vn" of all cells, as grid and VTK files list
+    them."""
+    for k, row in zip(grid.cell_nverts.tolist(), grid.cell_nodes.tolist()):
+        yield f"{k} {' '.join(map(str, row[:k]))}\n"
 
 
 def grid_to_text(grid):
@@ -277,73 +437,83 @@ def save_grid(grid, path):
 
 
 def derive_geometry(grid):
-    """Fill centroids, areas, and the face list; returns the same grid.
+    """Fill centroids, areas and the face arrays; returns the same grid.
 
     Faces are discovered in deterministic order (cells in index order, edges
-    in vertex order). Raises :class:`GridFormatError` if an edge is shared by
-    more than two cells or traversed twice in the same direction.
+    in vertex order). Raises :class:`GridFormatError` for a cell of
+    non-positive area, a zero-length edge, or an edge shared by more than
+    two cells or traversed twice in the same direction; where a grid has
+    several of these, the first in that order is reported.
     """
-    n_cells = grid.n_cells
-    centroids = np.empty((n_cells, 2), dtype=float)
-    areas = np.empty(n_cells, dtype=float)
-    nodes = grid.nodes
-    for j, cell in enumerate(grid.cells):
-        pts = [(float(nodes[v, 0]), float(nodes[v, 1])) for v in cell.vertices]
-        (cx, cy), area = _polygon_centroid_area(pts)
-        if area <= 0.0:
-            raise GridFormatError(f"cell {j} has non-positive area {area}")
-        cell.centroid = (cx, cy)
-        cell.area = area
-        centroids[j] = (cx, cy)
-        areas[j] = area
+    nodes, cell_nodes, nverts = grid.nodes, grid.cell_nodes, grid.cell_nverts
+    x, y = nodes[:, 0], nodes[:, 1]
+    # Triangle fan from vertex 0, added up in the order of
+    # _polygon_centroid_area; a quad's second triangle is (v0, v2, v3).
+    x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
+    cx = cy = area = np.zeros(len(nverts))
+    for k in (1, 2):
+        x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
+        x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
+        a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        fan = nverts > k + 1
+        area = np.where(fan, area + a, area)
+        cx = np.where(fan, cx + a * (x0 + x1 + x2) / 3.0, cx)
+        cy = np.where(fan, cy + a * (y0 + y1 + y2) / 3.0, cy)
+    bad = np.flatnonzero(area <= 0.0)
+    if len(bad):
+        j = int(bad[0])
+        raise GridFormatError(f"cell {j} has non-positive area {float(area[j])}")
 
-    # key: undirected node pair -> index into faces
-    edge_index = {}
-    faces = []
-    for j, cell in enumerate(grid.cells):
-        verts = cell.vertices
-        nv = len(verts)
-        for k in range(nv):
-            a, b = verts[k], verts[(k + 1) % nv]
-            key = (a, b) if a < b else (b, a)
-            idx = edge_index.get(key)
-            if idx is None:
-                xa, ya = nodes[a]
-                xb, yb = nodes[b]
-                dx, dy = float(xb - xa), float(yb - ya)
-                length = math.hypot(dx, dy)
-                if length == 0.0:
-                    raise GridFormatError(f"zero-length edge {key} in cell {j}")
-                edge_index[key] = len(faces)
-                faces.append(
-                    Face(
-                        node_a=a,
-                        node_b=b,
-                        owner=j,
-                        neighbor=-1,
-                        normal=(dy / length, -dx / length),
-                        length=length,
-                        midpoint=(float(xa + xb) / 2.0, float(ya + yb) / 2.0),
-                    )
-                )
-            else:
-                face = faces[idx]
-                if face.neighbor != -1:
-                    raise GridFormatError(
-                        f"edge {key} shared by more than two cells"
-                    )
-                if (face.node_a, face.node_b) == (a, b):
-                    raise GridFormatError(
-                        f"edge {key} traversed twice in the same direction "
-                        f"(cells {face.owner} and {j} overlap or are flipped)"
-                    )
-                face.neighbor = j
+    # Every cell's edges in discovery order. An edge's first occurrence
+    # makes a face, its second gives the face's neighbor; faces are numbered
+    # in order of first occurrence.
+    end, valid = _edge_ends(cell_nodes, nverts)
+    a, b = cell_nodes[valid], end[valid]
+    cell = np.repeat(np.arange(len(nverts)), nverts)
+    key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
+    _, first, group, count = np.unique(key, return_index=True,
+                                       return_inverse=True, return_counts=True)
+    by_group = np.argsort(group, kind="stable")
+    group_start = np.cumsum(count) - count
+    second = by_group[group_start[count > 1] + 1]
+    third = by_group[group_start[count > 2] + 2]
+    order = np.argsort(first)
+    face = np.argsort(order)[group]     # face number of every edge
+    first = first[order]
 
-    grid.centroids = centroids
-    grid.areas = areas
-    grid.faces = faces
-    grid._face_adj = None
-    grid._vertex_adj = None
+    na, nb = a[first], b[first]
+    dx, dy = x[nb] - x[na], y[nb] - y[na]
+    length = _hypot(dx, dy)
+    twice = second[(a[second] == na[face[second]])
+                   & (b[second] == nb[face[second]])]
+    faults = {"zero": first[length == 0.0], "twice": twice, "thrice": third}
+    faults = [(int(e.min()), kind) for kind, e in faults.items() if len(e)]
+    if faults:
+        # The earliest faulty edge in discovery order is reported.
+        i, kind = min(faults)
+        pair = (int(min(a[i], b[i])), int(max(a[i], b[i])))
+        j = int(cell[i])
+        if kind == "zero":
+            raise GridFormatError(f"zero-length edge {pair} in cell {j}")
+        if kind == "thrice":
+            raise GridFormatError(f"edge {pair} shared by more than two cells")
+        raise GridFormatError(
+            f"edge {pair} traversed twice in the same direction "
+            f"(cells {int(cell[first[face[i]]])} and {j} overlap or are "
+            f"flipped)"
+        )
+
+    neighbor = np.full(len(first), -1, dtype=np.intp)
+    neighbor[face[second]] = cell[second]
+    grid.centroids = np.column_stack([cx / area, cy / area])
+    grid.areas = area
+    grid.face_arrays = FaceArrays(
+        node_a=na, node_b=nb, owner=cell[first], neighbor=neighbor,
+        normal=np.column_stack([dy / length, -dx / length]), length=length,
+        midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
+                                  (y[na] + y[nb]) / 2.0]),
+    )
+    grid._cells = grid._faces = grid._face_adj = grid._vertex_adj = None
     return grid
 
 
@@ -352,37 +522,41 @@ def replace_nodes(grid, nodes, name=None):
     out = Grid(
         name=grid.name if name is None else name,
         nodes=np.asarray(nodes, dtype=float).copy(),
-        cells=[Cell(vertices=c.vertices) for c in grid.cells],
+        cell_nodes=grid.cell_nodes,
+        cell_nverts=grid.cell_nverts,
     )
     return derive_geometry(out)
 
 
 def _require_geometry(grid):
-    if grid.faces is None:
+    if grid.face_arrays is None:
         derive_geometry(grid)
 
 
 def _face_adjacency(grid):
     if grid._face_adj is None:
         adj = [[] for _ in range(grid.n_cells)]
-        for face in grid.faces:
-            if face.neighbor != -1:
-                adj[face.owner].append(face.neighbor)
-                adj[face.neighbor].append(face.owner)
+        fa = grid.face_arrays
+        for owner, neighbor in zip(fa.owner.tolist(), fa.neighbor.tolist()):
+            if neighbor != -1:
+                adj[owner].append(neighbor)
+                adj[neighbor].append(owner)
         grid._face_adj = adj
     return grid._face_adj
 
 
 def _vertex_adjacency(grid):
     if grid._vertex_adj is None:
+        cells = [row[:k] for row, k in zip(grid.cell_nodes.tolist(),
+                                           grid.cell_nverts.tolist())]
         node_cells = [[] for _ in range(grid.n_nodes)]
-        for j, cell in enumerate(grid.cells):
-            for v in cell.vertices:
+        for j, verts in enumerate(cells):
+            for v in verts:
                 node_cells[v].append(j)
         adj = []
-        for j, cell in enumerate(grid.cells):
+        for j, verts in enumerate(cells):
             seen = set()
-            for v in cell.vertices:
+            for v in verts:
                 seen.update(node_cells[v])
             seen.discard(j)
             adj.append(sorted(seen))
@@ -416,13 +590,13 @@ def build_stencil(grid, cell_index, mode="face"):
             f"{mode} mode"
         )
 
-    xj, yj = grid.cells[cell_index].centroid
+    xj, yj = grid.centroids[cell_index].tolist()
     tol = DEGENERACY_RTOL * grid.bbox_diagonal
     dx = []
     dy = []
     d = []
     for k in neighbors:
-        xk, yk = grid.cells[k].centroid
+        xk, yk = grid.centroids[k].tolist()
         ddx, ddy = xk - xj, yk - yj
         dist = math.hypot(ddx, ddy)
         if dist < tol:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cell, Grid, derive_geometry
+from .grid import Grid, derive_geometry
 
 KINDS = ("quad", "quad_ar", "tri_regular", "tri_irregular")
 
@@ -62,50 +62,44 @@ class GenSpec:
 def _lattice(nx, ny, width, height):
     xs = np.linspace(0.0, width, nx)
     ys = np.linspace(0.0, height, ny)
-    nodes = np.empty((nx * ny, 2), dtype=float)
-    for j in range(ny):
-        nodes[j * nx:(j + 1) * nx, 0] = xs
-        nodes[j * nx:(j + 1) * nx, 1] = ys[j]
-    return nodes
+    return np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
+
+
+def _corners(nx, ny):
+    """Lower-left, lower-right, upper-right and upper-left node of every
+    quad, quads in row-major order."""
+    n00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    return n00, n00 + 1, n00 + 1 + nx, n00 + nx
 
 
 def _quad_cells(nx, ny):
-    cells = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            n00 = j * nx + i
-            cells.append(Cell(vertices=(n00, n00 + 1, n00 + 1 + nx, n00 + nx)))
-    return cells
+    cells = np.column_stack(_corners(nx, ny))
+    return cells, np.full(len(cells), 4, dtype=np.intp)
 
 
 def _tri_cells(nodes, nx, ny, diagonals):
     """Split each quad in two; diagonals[j, i] = 0 asks for the lower-left to
     upper-right diagonal, 1 for the other one. A choice that would invert a
-    triangle (non-convex perturbed quad) falls back to the other diagonal."""
+    triangle (non-convex perturbed quad) falls back to the other diagonal.
+    Each quad's two triangles are consecutive cells."""
+    n00, n10, n11, n01 = _corners(nx, ny)
+    splits = np.stack([
+        np.column_stack([n00, n10, n11, n00, n11, n01]),
+        np.column_stack([n00, n10, n01, n10, n11, n01]),
+    ])
+    x, y = nodes[:, 0], nodes[:, 1]
 
-    def ccw(a, b, c):
-        ax, ay = nodes[a]
-        bx, by = nodes[b]
-        cx, cy = nodes[c]
-        return (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) > 0.0
+    def ccw(tri):
+        a, b, c = tri.T
+        return (x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a]) > 0.0
 
-    cells = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            n00 = j * nx + i
-            n10 = n00 + 1
-            n01 = n00 + nx
-            n11 = n01 + 1
-            splits = (
-                ((n00, n10, n11), (n00, n11, n01)),
-                ((n00, n10, n01), (n10, n11, n01)),
-            )
-            t1, t2 = splits[diagonals[j, i]]
-            if not (ccw(*t1) and ccw(*t2)):
-                t1, t2 = splits[1 - diagonals[j, i]]
-            cells.append(Cell(vertices=t1))
-            cells.append(Cell(vertices=t2))
-    return cells
+    quad = np.arange(len(n00))
+    wanted = diagonals.ravel()
+    chosen = splits[wanted, quad]
+    ok = ccw(chosen[:, :3]) & ccw(chosen[:, 3:])
+    tris = splits[np.where(ok, wanted, 1 - wanted), quad].reshape(-1, 3)
+    cells = np.column_stack([tris, np.full(len(tris), -1)])
+    return cells, np.full(len(cells), 3, dtype=np.intp)
 
 
 def generate(spec):
@@ -116,10 +110,10 @@ def generate(spec):
     nodes = _lattice(nx, ny, 1.0, height)
 
     if spec.kind in ("quad", "quad_ar"):
-        cells = _quad_cells(nx, ny)
+        cells, nverts = _quad_cells(nx, ny)
     elif spec.kind == "tri_regular":
         diagonals = np.zeros((ny - 1, nx - 1), dtype=int)
-        cells = _tri_cells(nodes, nx, ny, diagonals)
+        cells, nverts = _tri_cells(nodes, nx, ny, diagonals)
     else:
         rng = np.random.default_rng(spec.seed)
         disp = rng.uniform(-1.0, 1.0, size=(ny * nx, 2))
@@ -134,7 +128,8 @@ def generate(spec):
             [spec.perturb * hx, spec.perturb * hy]
         )
         diagonals = rng.integers(0, 2, size=(ny - 1, nx - 1))
-        cells = _tri_cells(nodes, nx, ny, diagonals)
+        cells, nverts = _tri_cells(nodes, nx, ny, diagonals)
 
-    grid = Grid(name=spec.grid_name, nodes=nodes, cells=cells)
+    grid = Grid(name=spec.grid_name, nodes=nodes, cell_nodes=cells,
+                cell_nverts=nverts)
     return derive_geometry(grid)

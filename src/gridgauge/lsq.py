@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularStencilError
-from .grid import DEGENERACY_RTOL, _require_geometry
+from .grid import DEGENERACY_RTOL, _hypot, _require_geometry
 
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12
@@ -154,16 +154,16 @@ def _adjacency(grid, mode):
     C the cell-node incidence)."""
     n = grid.n_cells
     if mode == "face":
-        ends = np.array([(f.owner, f.neighbor) for f in grid.faces],
-                        dtype=np.int32).reshape(-1, 2)
-        ends = ends[ends[:, 1] != -1]
-        a = sp.csr_matrix((np.ones(len(ends), np.int8), ends.T), shape=(n, n))
+        fa = grid.face_arrays
+        inner = fa.neighbor != -1
+        a = sp.csr_matrix((np.ones(inner.sum(), np.int8),
+                           (fa.owner[inner], fa.neighbor[inner])), shape=(n, n))
         a = a + a.T
     elif mode == "vertex":
-        lengths = [len(c.vertices) for c in grid.cells]
-        verts = [v for c in grid.cells for v in c.vertices]
+        verts = grid.cell_nodes[grid.cell_nodes >= 0]
         a = sp.csr_matrix((np.ones(len(verts), np.int8), verts,
-                           np.cumsum([0] + lengths)), shape=(n, grid.n_nodes))
+                           np.concatenate([[0], np.cumsum(grid.cell_nverts)])),
+                          shape=(n, grid.n_nodes))
         a = a @ a.T
         a.setdiag(0)
         a.eliminate_zeros()
@@ -171,11 +171,6 @@ def _adjacency(grid, mode):
         raise ValueError(f"unknown stencil mode {mode!r}")
     a.sort_indices()
     return a.indptr, a.indices
-
-
-def _hypot(x, y):
-    # math.hypot, not np.hypot: they differ in the last ulp on some inputs.
-    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
 
 
 def _slot_sum(slots, values):

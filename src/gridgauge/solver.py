@@ -93,36 +93,22 @@ class _Advection:
         t = math.radians(theta)
         ax, ay = math.cos(t), math.sin(t)
 
-        interior = [f for f in grid.faces if f.neighbor != -1]
-        boundary = [f for f in grid.faces if f.neighbor == -1]
+        fa = grid.face_arrays
+        inner = fa.neighbor != -1
+        outer = ~inner
+        an = ax * fa.normal[:, 0] + ay * fa.normal[:, 1]
+        mx, my = fa.midpoint.T
 
-        self.own = np.array([f.owner for f in interior], dtype=np.intp)
-        self.nb = np.array([f.neighbor for f in interior], dtype=np.intp)
-        self.an = np.array(
-            [ax * f.normal[0] + ay * f.normal[1] for f in interior]
-        )
-        self.ln = np.array([f.length for f in interior])
-        self.mx = np.array([f.midpoint[0] for f in interior])
-        self.my = np.array([f.midpoint[1] for f in interior])
+        self.own, self.nb = fa.owner[inner], fa.neighbor[inner]
+        self.an, self.ln = an[inner], fa.length[inner]
+        self.mx, self.my = mx[inner], my[inner]
 
-        self.bown = np.array([f.owner for f in boundary], dtype=np.intp)
-        self.ban = np.array(
-            [ax * f.normal[0] + ay * f.normal[1] for f in boundary]
-        )
-        self.bln = np.array([f.length for f in boundary])
-        bmx = np.array([f.midpoint[0] for f in boundary])
-        bmy = np.array([f.midpoint[1] for f in boundary])
-        self.bmx = bmx
-        self.bmy = bmy
-        self.ub = np.asarray(inflow(bmx, bmy), dtype=float)
+        self.bown, self.ban = fa.owner[outer], an[outer]
+        self.bln, self.bmx, self.bmy = fa.length[outer], mx[outer], my[outer]
+        self.ub = np.asarray(inflow(self.bmx, self.bmy), dtype=float)
 
-        cx = grid.centroids[:, 0]
-        cy = grid.centroids[:, 1]
-        self.cx = cx
-        self.cy = cy
-        self.fv = np.array(
-            [source(cx[j], cy[j], theta) * grid.areas[j] for j in range(n)]
-        )
+        self.cx, self.cy = grid.centroids.T
+        self.fv = source(self.cx, self.cy, theta) * grid.areas
 
         if first_order:
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
@@ -207,7 +193,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     Outer loop: evaluate R(u); stop on convergence; otherwise relax
     J du = -R with symmetric sweeps and update u. The returned report
     carries the normalized residual history (entry 0 is 1) and cumulative
-    work units per entry.
+    work units per entry. A residual norm above DIVERGENCE_FACTOR times the
+    initial one, or a non-finite one, stops the solve as diverged.
     """
     spec.validate()
     _require_geometry(grid)
@@ -225,6 +212,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
 
     if r0 == 0.0:
         return SolveReport(history, work_history, 0, work, True, False, u)
+    if not math.isfinite(r0):
+        return SolveReport(history, work_history, None, work, False, True, u)
 
     jac = op.jacobian()
     lower = spla.splu(sp.tril(jac, format="csc"),
@@ -259,7 +248,7 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
             converged = True
             iterations = it
             break
-        if rnorm > DIVERGENCE_FACTOR * r0:
+        if not math.isfinite(rnorm) or rnorm > DIVERGENCE_FACTOR * r0:
             diverged = True
             break
 

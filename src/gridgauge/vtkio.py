@@ -1,5 +1,7 @@
 """Legacy (ASCII, version 2.0) VTK unstructured-grid writer with cell data."""
 
+from .grid import cell_lines
+
 _VTK_TRIANGLE = 5
 _VTK_QUAD = 9
 
@@ -27,15 +29,13 @@ def _write(out, grid, cell_data, title):
     for x, y in grid.nodes:
         out.write(f"{float(x):.17g} {float(y):.17g} 0\n")
 
-    n_ints = sum(len(c.vertices) + 1 for c in grid.cells)
-    out.write(f"CELLS {grid.n_cells} {n_ints}\n")
-    for cell in grid.cells:
-        verts = " ".join(str(v) for v in cell.vertices)
-        out.write(f"{len(cell.vertices)} {verts}\n")
+    nverts = grid.cell_nverts.tolist()
+    out.write(f"CELLS {grid.n_cells} {sum(nverts) + grid.n_cells}\n")
+    out.writelines(cell_lines(grid))
 
     out.write(f"CELL_TYPES {grid.n_cells}\n")
-    for cell in grid.cells:
-        out.write(f"{_VTK_TRIANGLE if len(cell.vertices) == 3 else _VTK_QUAD}\n")
+    for k in nverts:
+        out.write(f"{_VTK_TRIANGLE if k == 3 else _VTK_QUAD}\n")
 
     if cell_data:
         out.write(f"CELL_DATA {grid.n_cells}\n")

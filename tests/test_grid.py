@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -347,3 +348,231 @@ def test_tiny_relative_distance_is_degenerate():
     with pytest.raises(DegenerateStencilError) as err:
         build_stencil(stretched, 0, mode="face")
     assert "threshold" in str(err.value)
+
+
+# sha256 of each core output of the 17x17 generated grids (tri_irregular:
+# perturb 0.3, seed 42), taken before the grid core was vectorized.
+GOLDEN = {
+    "quad": {
+        "text":
+            "394845fd52455aa7296c4c90cc58e06ab0d84306dd4d3d15d6097a1af43ffe45",
+        "centroids":
+            "88e02e06d66a3dfd4a7cd6a1a3e2c667d9b0c0b40cacff782fa7e741250a4fe6",
+        "areas":
+            "62fd56f6dba82940fef0d2e81f7ee6eb90b9a1966386285b96b358940370ef9c",
+        "node_a":
+            "fb02e4777e3b09b44fef081a20ff853f70fd0cc64fdb53ff0b5a156c651c62bb",
+        "node_b":
+            "51f72f40c9536353b87080ad3e3b3dc22b27cc8dda30cbcc679b070a61dcc9dd",
+        "owner":
+            "5583a47fd6b86f333e2ebefb135de7ac863f6978199d4bfb57a0ddfcb67d110b",
+        "neighbor":
+            "6d59fbdce1b5a1b1c4b068fabc55eb93cab6e3d3f1ad1c56dda4a1894e917123",
+        "normal":
+            "16974182d03ede58fa8cbfdc75c770a66829d878ecfa21516dc56052f20e7702",
+        "length":
+            "0aee5fd265cc62c073bc3919f6451bfd4bd279b7f8f64372f15a89f0d4b45df4",
+        "midpoint":
+            "ded79882aa21bee724e08e35ff6395ba4a17ee28144901c129d273d11f373620",
+    },
+    "quad_ar": {
+        "text":
+            "dcc2c7508bb4b75c9765171baf393c50555d4620de8b44d2850737593914d2a8",
+        "centroids":
+            "e1c5e2b4f1a2470135a009cb47c31837231ff8d1ca73aec4f01c42c4e976aee0",
+        "areas":
+            "b0f96142c5cede59e16b6d3ecc374431ff82b5321948400516b9a9606a0bf0d4",
+        "node_a":
+            "fb02e4777e3b09b44fef081a20ff853f70fd0cc64fdb53ff0b5a156c651c62bb",
+        "node_b":
+            "51f72f40c9536353b87080ad3e3b3dc22b27cc8dda30cbcc679b070a61dcc9dd",
+        "owner":
+            "5583a47fd6b86f333e2ebefb135de7ac863f6978199d4bfb57a0ddfcb67d110b",
+        "neighbor":
+            "6d59fbdce1b5a1b1c4b068fabc55eb93cab6e3d3f1ad1c56dda4a1894e917123",
+        "normal":
+            "16974182d03ede58fa8cbfdc75c770a66829d878ecfa21516dc56052f20e7702",
+        "length":
+            "0f0305b5c189917903b733cda1d807e17aea6886adbe2014de40a7eeb303a851",
+        "midpoint":
+            "2a28e327af021af594285dc852471819fdace37729b2be579bea1a67cc16a16f",
+    },
+    "tri_regular": {
+        "text":
+            "25beff222c2fc8fa2383be548d42c6b50861ae0b6b83d877718d3dedafea9347",
+        "centroids":
+            "75731a96e7b002c0983f233876ac264cfde3ec96183e8d6ce64132b10be0a37a",
+        "areas":
+            "8c74246543874a35da372ef26ccdb31ce88d8366951703be4b70427ff681dc3e",
+        "node_a":
+            "301c67b31bb08e06fd7da92a18f00085fbd44d7433dc1525e325f158a3374934",
+        "node_b":
+            "db085d913e8d3d459326b108a2b2b35682c8863d1023998beec65778cbe48768",
+        "owner":
+            "0815899e4325835c3e89147fd20735d37b8ab0989f07668b456726cb6e2a77da",
+        "neighbor":
+            "76c14e74ed94facd6e0b89feefd4ead35cb26b7ee76b4e12156c1279e9594a7f",
+        "normal":
+            "77785e5cf3742a3cfb6e3473e15f061c7df9447c796bdbdd0cdc27df913bd5cf",
+        "length":
+            "b56fbce65bc28a539daf31e5505bccbe5779737489c0a563f4fd0ca42fa165ea",
+        "midpoint":
+            "9bf957eb498c60e795a4f215be2816400f7d4d66e4c9f601da5f88942e1e2186",
+    },
+    "tri_irregular": {
+        "text":
+            "f3347344b5cdd45e5e18392a17409ac97f8a150501e28d7d67fbfe3e79d6f2ee",
+        "centroids":
+            "9dbc71febd2627b5feda6d6a3ca33a52e307db29c1fdf820389ed8cf06ae402e",
+        "areas":
+            "5cd62712dd0f9b85b534ffc7f2f054308d8eb6b79df26f74408089e818958109",
+        "node_a":
+            "b90c27b6c252cbda2db8debe430c6b1ae764320c0acf3fc6eb5eadeed2a9a991",
+        "node_b":
+            "55b926169c82bdebe01d2c7a9ea7d8ad5d32003d6e4db553f9c5ae7162cfae99",
+        "owner":
+            "29a5995905d416f2a51849b7f49625e3c610e322682e73c3eb3c562f865b8691",
+        "neighbor":
+            "9309d64c0163d89f7a30ff2a40789d732f0bb767334486aa2e3fded93b125ca8",
+        "normal":
+            "1d724df67345fdb949ff9b19ae8af645316418924f06255c334cb850f104173a",
+        "length":
+            "59de67ea70690e429336854fd6572e43a4387f48f3a7e9d19f6d5e973537bda7",
+        "midpoint":
+            "cecbf83b52d01652a8fb9bf1ef15cc529267bef4eae8d75b349804186252e3b2",
+    },
+}
+
+
+def core_digests(grid):
+    fa = grid.face_arrays
+    arrays = {"centroids": grid.centroids, "areas": grid.areas,
+              "node_a": fa.node_a, "node_b": fa.node_b, "owner": fa.owner,
+              "neighbor": fa.neighbor, "normal": fa.normal,
+              "length": fa.length, "midpoint": fa.midpoint}
+    out = {"text": hashlib.sha256(grid_to_text(grid).encode()).hexdigest()}
+    for key, a in arrays.items():
+        dtype = np.int64 if a.dtype.kind == "i" else np.float64
+        out[key] = hashlib.sha256(
+            np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_grid_core_golden_digest(kind):
+    # Only + - * / and math.hypot go into these arrays, so the digests hold
+    # on every IEEE-754 platform.
+    grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
+    assert core_digests(grid) == GOLDEN[kind]
+    parsed = derive_geometry(parse_grid(grid_to_text(grid)))
+    assert core_digests(parsed) == GOLDEN[kind]
+
+
+def test_edge_shared_by_three_cells_rejected():
+    text = """5 3
+0.0 0.0
+1.0 0.0
+0.5 1.0
+0.5 -1.0
+0.5 2.0
+3 0 1 2
+3 1 0 3
+3 0 1 4
+"""
+    grid = parse_grid(text)
+    with pytest.raises(GridFormatError) as err:
+        derive_geometry(grid)
+    assert str(err.value) == "edge (0, 1) shared by more than two cells"
+    assert err.value.line is None
+
+
+def test_coincident_nodes_zero_length_edge_rejected():
+    # Nodes 1 and 2 coincide; the quad still has positive area.
+    text = UNIT_QUAD.replace("1.0 1.0", "1.0 0.0")
+    grid = parse_grid(text)
+    with pytest.raises(GridFormatError) as err:
+        derive_geometry(grid)
+    assert str(err.value) == "zero-length edge (1, 2) in cell 0"
+    assert err.value.line is None
+
+
+def test_zero_fan_area_rejected():
+    # A bow-tie quad: its shoelace area rounds to a positive number, so it
+    # parses, but its two fan triangles cancel exactly.
+    text = """4 1
+0.6666666666666666 0.5
+1.0 1.0
+1.0 0.5
+0.6666666666666666 1.0
+4 0 1 2 3
+"""
+    grid = parse_grid(text)
+    with pytest.raises(GridFormatError) as err:
+        derive_geometry(grid)
+    assert str(err.value) == "cell 0 has non-positive area 0.0"
+    assert err.value.line is None
+
+
+def test_first_faulty_edge_reported():
+    # Cell 2 is the third cell on edge (0, 1); cell 3, later, has a
+    # zero-length edge.
+    text = """9 4
+0.0 0.0
+1.0 0.0
+0.5 1.0
+0.5 -1.0
+0.5 2.0
+5.0 0.0
+6.0 0.0
+6.0 0.0
+5.0 1.0
+3 0 1 2
+3 1 0 3
+3 0 1 4
+4 5 6 7 8
+"""
+    with pytest.raises(GridFormatError) as err:
+        derive_geometry(parse_grid(text))
+    assert str(err.value) == "edge (0, 1) shared by more than two cells"
+
+
+@pytest.mark.parametrize("index", ["4", "-1"])
+def test_parse_vertex_index_bounds(index):
+    bad = UNIT_QUAD.replace("4 0 1 2 3", f"4 0 1 2 {index}")
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(bad)
+    assert str(err.value) == f"line 6: vertex index {index} out of range [0, 4)"
+    assert err.value.line == 6
+
+def test_first_bad_cell_line_reported():
+    text = UNIT_QUAD.replace("4 1\n", "4 2\n").replace(
+        "4 0 1 2 3\n", "3 0 0 1\n4 0 1 2 9\n")
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(text)
+    assert str(err.value) == "line 6: repeated vertex in cell (0, 0, 1)"
+    assert err.value.line == 6
+
+
+def test_bad_node_line_wins_over_later_bad_cell_line():
+    text = UNIT_QUAD.replace("1.0 0.0\n", "1.0 x\n").replace(
+        "4 0 1 2 3", "4 0 1 2 9")
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(text)
+    assert str(err.value) == "line 3: bad coordinate '1.0 x'"
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("layout", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(" ", " \t "),
+    lambda t: t.replace("\n3 ", "\n# a comment\n\n3 ", 1),
+    lambda t: t + "# trailing comment\n\n",
+    lambda t: "\n# name: renamed\n" + t,
+], ids=["crlf", "tabs", "inner-comment", "trailing-comment", "leading-lines"])
+def test_layouts_parse_alike(layout):
+    grid = generate(GenSpec(kind="tri_irregular", nx=5, ny=4, seed=2))
+    text = grid_to_text(grid)
+    again = parse_grid(layout(text))
+    assert np.array_equal(again.nodes, grid.nodes)
+    assert np.array_equal(again.cell_nodes, grid.cell_nodes)
+    assert grid_to_text(again).split("\n", 1)[1] == text.split("\n", 1)[1]

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from gridgauge import (
-    Cell,
     DegenerateStencilError,
     GenSpec,
     Grid,
@@ -188,8 +187,9 @@ def notch_grid():
     """4x2 quads without the two top-right cells: cell 2 has two collinear
     face neighbors (singular), cell 3 one neighbor (degenerate)."""
     quad = generate(GenSpec(kind="quad", nx=5, ny=3))
-    cells = [Cell(vertices=c.vertices) for c in quad.cells[:6]]
-    return derive_geometry(Grid(name="notch", nodes=quad.nodes, cells=cells))
+    return derive_geometry(Grid(name="notch", nodes=quad.nodes,
+                                cell_nodes=quad.cell_nodes[:6],
+                                cell_nverts=quad.cell_nverts[:6]))
 
 
 def far_grid():
@@ -197,10 +197,11 @@ def far_grid():
     spacing falls below the degeneracy threshold."""
     quad = generate(GenSpec(kind="quad", nx=3, ny=3))
     far = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + 3.0e13
-    cells = [Cell(vertices=c.vertices) for c in quad.cells]
-    cells.append(Cell(vertices=(9, 10, 11, 12)))
     nodes = np.vstack([quad.nodes, far])
-    return derive_geometry(Grid(name="far", nodes=nodes, cells=cells))
+    return derive_geometry(Grid(
+        name="far", nodes=nodes,
+        cell_nodes=np.vstack([quad.cell_nodes, [9, 10, 11, 12]]),
+        cell_nverts=np.append(quad.cell_nverts, 4)))
 
 
 def scalar_table(grid, p, mode):

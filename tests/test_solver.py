@@ -17,8 +17,11 @@ from gridgauge import (
     generate,
     jacobian_low_order,
     residual_second_order,
+    save_grid,
     source_term,
 )
+from gridgauge import solver
+from gridgauge.cli import main
 
 # frozen from a reference run: quad 33x33, theta=30, p=0, face stencils,
 # tol 1e-10, sweep cap 30
@@ -313,3 +316,30 @@ def test_max_iterations_cap():
     assert not report.diverged
     assert report.iterations_to_tol is None
     assert len(report.residual_history) == 3
+
+
+@pytest.mark.parametrize("nan_call", [1, 2])
+def test_non_finite_residual_diverges(nan_call, monkeypatch, tmp_path, capsys):
+    # A NaN residual norm fails both the convergence and the divergence
+    # comparison; it must still stop the solve as diverged.
+    real = solver._Advection.residual
+    calls = []
+
+    def residual(self, u):
+        calls.append(None)
+        res = real(self, u)
+        return res if len(calls) < nan_call else np.full_like(res, np.nan)
+
+    monkeypatch.setattr(solver._Advection, "residual", residual)
+    grid = generate(GenSpec(kind="quad", nx=9, ny=9))
+    report = defect_correction_solve(grid, ProblemSpec())
+    assert report.diverged and not report.converged
+    assert len(report.residual_history) == nan_call
+    assert len(calls) == nan_call
+
+    path = tmp_path / "g.txt"
+    save_grid(grid, path)
+    calls.clear()
+    assert main(["solve", str(path)]) == 4
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("diverged grid=quad_9x9 iterations=n/a ")
