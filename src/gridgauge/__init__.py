@@ -8,13 +8,10 @@ from .errors import (
     SingularStencilError,
 )
 from .grid import (
-    Cell,
-    Face,
     FaceArrays,
     Grid,
     Stencil,
     build_stencil,
-    build_stencils,
     derive_geometry,
     grid_to_text,
     load_grid,
@@ -28,7 +25,6 @@ from .lsq import LsqSystem, apply_gradient, build_system
 from .measures import (
     CSV_HEADER,
     MeasureReport,
-    MeasureValues,
     analyze,
     f_measure,
     g_measure,
@@ -47,11 +43,9 @@ from .vtkio import write_vtk
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
     "CSV_HEADER",
     "DegenerateGridError",
     "DegenerateStencilError",
-    "Face",
     "FaceArrays",
     "GenSpec",
     "Grid",
@@ -59,7 +53,6 @@ __all__ = [
     "GridGaugeError",
     "LsqSystem",
     "MeasureReport",
-    "MeasureValues",
     "ProblemSpec",
     "SingularStencilError",
     "SolveReport",
@@ -67,7 +60,6 @@ __all__ = [
     "analyze",
     "apply_gradient",
     "build_stencil",
-    "build_stencils",
     "build_system",
     "defect_correction_solve",
     "derive_geometry",

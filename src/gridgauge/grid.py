@@ -28,32 +28,6 @@ DEGENERACY_RTOL = 1e-13
 _SLOTS = np.arange(4)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one cell: 3 or 4 node indices in counter-clockwise
-    order, and its centroid and area once geometry is derived."""
-
-    vertices: tuple
-    centroid: tuple | None = None
-    area: float | None = None
-
-
-@dataclass(frozen=True)
-class Face:
-    """Read-only view of one edge; ``neighbor`` is -1 on the boundary.
-
-    The unit normal points out of the owner cell.
-    """
-
-    node_a: int
-    node_b: int
-    owner: int
-    neighbor: int
-    normal: tuple
-    length: float
-    midpoint: tuple
-
-
 @dataclass
 class FaceArrays:
     """All faces in discovery order: cells in index order, each cell's edges
@@ -90,27 +64,28 @@ class Stencil:
 
 @dataclass
 class Grid:
-    """Immutable after :func:`derive_geometry`; queries are then pure.
+    """A grid and its geometry, derived when the grid is built; queries are
+    pure.
 
     ``cell_nodes`` is the (n, 4) node table, padded with -1 after each cell's
     ``cell_nverts`` (3 or 4) vertices. :func:`derive_geometry` fills
-    ``centroids`` (n, 2), ``areas`` and ``face_arrays``. ``cells`` and
-    ``faces`` are read-only :class:`Cell`/:class:`Face` views of these
-    arrays, built on first access.
+    ``centroids`` (n, 2), ``areas`` and ``face_arrays``, and raises
+    :class:`GridFormatError` for a grid it cannot derive them for.
     """
 
     name: str
     nodes: np.ndarray
     cell_nodes: np.ndarray
     cell_nverts: np.ndarray
-    centroids: np.ndarray | None = None
-    areas: np.ndarray | None = None
-    face_arrays: FaceArrays | None = None
-    _cells: tuple | None = field(default=None, repr=False, compare=False)
-    _faces: tuple | None = field(default=None, repr=False, compare=False)
+    centroids: np.ndarray = field(init=False)
+    areas: np.ndarray = field(init=False)
+    face_arrays: FaceArrays = field(init=False)
     _face_adj: list | None = field(default=None, repr=False, compare=False)
     _vertex_adj: list | None = field(default=None, repr=False, compare=False)
     _bbox_diag: float | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        derive_geometry(self)
 
     @property
     def n_nodes(self):
@@ -119,32 +94,6 @@ class Grid:
     @property
     def n_cells(self):
         return len(self.cell_nverts)
-
-    @property
-    def cells(self):
-        if self._cells is None:
-            verts = [tuple(row[:k]) for row, k in
-                     zip(self.cell_nodes.tolist(), self.cell_nverts.tolist())]
-            if self.centroids is None:
-                self._cells = tuple(map(Cell, verts))
-            else:
-                self._cells = tuple(map(Cell, verts,
-                                        map(tuple, self.centroids.tolist()),
-                                        self.areas.tolist()))
-        return self._cells
-
-    @property
-    def faces(self):
-        fa = self.face_arrays
-        if fa is None:
-            return None
-        if self._faces is None:
-            self._faces = tuple(map(
-                Face, fa.node_a.tolist(), fa.node_b.tolist(),
-                fa.owner.tolist(), fa.neighbor.tolist(),
-                map(tuple, fa.normal.tolist()), fa.length.tolist(),
-                map(tuple, fa.midpoint.tolist())))
-        return self._faces
 
     @property
     def bbox(self):
@@ -228,26 +177,31 @@ def _comment_name(line, name):
 def parse_grid(source, name=""):
     """Parse a gridgauge text stream into a validated :class:`Grid`.
 
-    Connectivity and orientation are checked here; geometry (centroids,
-    areas, faces) is filled in later by :func:`derive_geometry`.
-
     Raises
     ------
     GridFormatError
         Malformed header, wrong token count, non-finite coordinate,
         out-of-range or repeated vertex index, non-positive cell area -- all
-        with a line number.
+        with a line number -- or a geometry fault found by
+        :func:`derive_geometry`.
     """
     text = source.read() if hasattr(source, "read") else source
-    grid = _parse_bulk(text, name)
-    return grid if grid is not None else _parse_lines(text, name)
+    parsed = _parse_bulk(text, name)
+    if parsed is None:
+        return _parse_lines(text, name)
+    # Derive the geometry only once the text and the parser's token lists
+    # are freed: they would otherwise raise the peak memory of a load.
+    del text
+    return Grid(*parsed)
 
 
 def _parse_bulk(text, name):
     """parse_grid for files whose comment and blank lines all precede the
-    header, converting all nodes and all cells at once. Returns None for
-    any other file and wherever a check fails; :func:`_parse_lines` then
-    parses the file or raises the error of its first bad line."""
+    header, converting all nodes and all cells at once into the
+    :class:`Grid` arguments (name, nodes, cell_nodes, cell_nverts). Returns
+    None for any other file and wherever a check fails;
+    :func:`_parse_lines` then parses the file or raises the error of its
+    first bad line."""
     lines = text.splitlines()
     for start, raw in enumerate(lines):
         line = raw.strip()
@@ -293,8 +247,7 @@ def _parse_bulk(text, name):
         return None
     if (_signed_areas(nodes, cell_nodes, nverts) <= 0.0).any():
         return None
-    return Grid(name=name, nodes=nodes, cell_nodes=cell_nodes,
-                cell_nverts=nverts)
+    return name, nodes, cell_nodes, nverts
 
 
 def _parse_lines(text, name):
@@ -438,12 +391,14 @@ def save_grid(grid, path):
 
 def derive_geometry(grid):
     """Fill centroids, areas and the face arrays; returns the same grid.
+    Every :class:`Grid` calls it when it is built.
 
     Faces are discovered in deterministic order (cells in index order, edges
     in vertex order). Raises :class:`GridFormatError` for a cell of
-    non-positive area, a zero-length edge, or an edge shared by more than
-    two cells or traversed twice in the same direction; where a grid has
-    several of these, the first in that order is reported.
+    non-positive (or NaN) area; else for a zero-length edge, or an edge
+    shared by more than two cells or traversed twice in the same direction,
+    reporting the first in that order; else for a cell whose centroid
+    overflows.
     """
     nodes, cell_nodes, nverts = grid.nodes, grid.cell_nodes, grid.cell_nverts
     x, y = nodes[:, 0], nodes[:, 1]
@@ -451,18 +406,22 @@ def derive_geometry(grid):
     # _polygon_centroid_area; a quad's second triangle is (v0, v2, v3).
     x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
     cx = cy = area = np.zeros(len(nverts))
-    for k in (1, 2):
-        x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
-        x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
-        a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-        fan = nverts > k + 1
-        area = np.where(fan, area + a, area)
-        cx = np.where(fan, cx + a * (x0 + x1 + x2) / 3.0, cx)
-        cy = np.where(fan, cy + a * (y0 + y1 + y2) / 3.0, cy)
-    bad = np.flatnonzero(area <= 0.0)
-    if len(bad):
-        j = int(bad[0])
-        raise GridFormatError(f"cell {j} has non-positive area {float(area[j])}")
+    # Huge coordinates overflow here; the checks below reject the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 2):
+            x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
+            x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
+            a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+            fan = nverts > k + 1
+            area = np.where(fan, area + a, area)
+            cx = np.where(fan, cx + a * (x0 + x1 + x2) / 3.0, cx)
+            cy = np.where(fan, cy + a * (y0 + y1 + y2) / 3.0, cy)
+        bad = np.flatnonzero(~(area > 0.0))
+        if len(bad):
+            j = int(bad[0])
+            raise GridFormatError(
+                f"cell {j} has non-positive area {float(area[j])}")
+        centroids = np.column_stack([cx / area, cy / area])
 
     # Every cell's edges in discovery order. An edge's first occurrence
     # makes a face, its second gives the face's neighbor; faces are numbered
@@ -502,10 +461,13 @@ def derive_geometry(grid):
             f"(cells {int(cell[first[face[i]]])} and {j} overlap or are "
             f"flipped)"
         )
+    bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
+    if len(bad):
+        raise GridFormatError(f"cell {int(bad[0])} has a non-finite centroid")
 
     neighbor = np.full(len(first), -1, dtype=np.intp)
     neighbor[face[second]] = cell[second]
-    grid.centroids = np.column_stack([cx / area, cy / area])
+    grid.centroids = centroids
     grid.areas = area
     grid.face_arrays = FaceArrays(
         node_a=na, node_b=nb, owner=cell[first], neighbor=neighbor,
@@ -513,24 +475,18 @@ def derive_geometry(grid):
         midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
                                   (y[na] + y[nb]) / 2.0]),
     )
-    grid._cells = grid._faces = grid._face_adj = grid._vertex_adj = None
+    grid._face_adj = grid._vertex_adj = None
     return grid
 
 
 def replace_nodes(grid, nodes, name=None):
-    """New grid with the same connectivity on moved nodes, geometry derived."""
-    out = Grid(
+    """New grid with the same connectivity on moved nodes."""
+    return Grid(
         name=grid.name if name is None else name,
         nodes=np.asarray(nodes, dtype=float).copy(),
         cell_nodes=grid.cell_nodes,
         cell_nverts=grid.cell_nverts,
     )
-    return derive_geometry(out)
-
-
-def _require_geometry(grid):
-    if grid.face_arrays is None:
-        derive_geometry(grid)
 
 
 def _face_adjacency(grid):
@@ -576,7 +532,6 @@ def build_stencil(grid, cell_index, mode="face"):
         Fewer than 2 neighbors, or a centroid distance below
         ``DEGENERACY_RTOL`` times the bounding-box diagonal.
     """
-    _require_geometry(grid)
     if mode == "face":
         neighbors = sorted(set(_face_adjacency(grid)[cell_index]))
     elif mode == "vertex":
@@ -616,8 +571,3 @@ def build_stencil(grid, cell_index, mode="face"):
         d=tuple(d),
     )
 
-
-def build_stencils(grid, mode="face"):
-    """Stencils for every cell; raises on the first degenerate one."""
-    _require_geometry(grid)
-    return [build_stencil(grid, j, mode) for j in range(grid.n_cells)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, derive_geometry
+from .grid import Grid
 
 KINDS = ("quad", "quad_ar", "tri_regular", "tri_irregular")
 
@@ -103,7 +103,7 @@ def _tri_cells(nodes, nx, ny, diagonals):
 
 
 def generate(spec):
-    """Build the grid described by ``spec``, geometry already derived."""
+    """Build the grid described by ``spec``."""
     spec.validate()
     nx, ny = spec.nx, spec.ny
     height = 1.0 / spec.aspect_ratio if spec.kind == "quad_ar" else 1.0
@@ -130,6 +130,5 @@ def generate(spec):
         diagonals = rng.integers(0, 2, size=(ny - 1, nx - 1))
         cells, nverts = _tri_cells(nodes, nx, ny, diagonals)
 
-    grid = Grid(name=spec.grid_name, nodes=nodes, cell_nodes=cells,
+    return Grid(name=spec.grid_name, nodes=nodes, cell_nodes=cells,
                 cell_nverts=nverts)
-    return derive_geometry(grid)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularStencilError
-from .grid import DEGENERACY_RTOL, _hypot, _require_geometry
+from .grid import DEGENERACY_RTOL, _hypot
 
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12
@@ -63,8 +63,9 @@ def build_system(stencil, p=0):
     Raises
     ------
     SingularStencilError
-        det(A^T A) <= SINGULARITY_EPS * ||A^T A||_F^2, i.e. the neighbor
-        centroids are (numerically) collinear.
+        det(A^T A) is not above SINGULARITY_EPS * ||A^T A||_F^2, i.e. the
+        neighbor centroids are (numerically) collinear, or the normal
+        matrix overflows.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
@@ -85,7 +86,8 @@ def build_system(stencil, p=0):
 
     det = m11 * m22 - m12 * m12
     fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
-    if det <= SINGULARITY_EPS * fro2:
+    # Written so that a NaN det (from overflow) counts as singular.
+    if not det > SINGULARITY_EPS * fro2:
         raise SingularStencilError(
             f"cell {stencil.cell}: normal matrix is singular "
             f"(det={det:.3e}, ||A^T A||_F^2={fro2:.3e})"
@@ -194,7 +196,6 @@ def lsq_table(grid, p=0, stencil_mode="face"):
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
-    _require_geometry(grid)
     indptr, indices = _adjacency(grid, stencil_mode)
     n, nnz = grid.n_cells, len(indices)
     xc, yc = grid.centroids.T
@@ -211,8 +212,9 @@ def lsq_table(grid, p=0, stencil_mode="face"):
         nb = indices[flat]
         dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
         d = _hypot(dx, dy)
-        # Degenerate cells divide by zero here; their results are masked.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Degenerate cells divide by zero here, and huge offsets overflow;
+        # their results are masked.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
             bx, by = w2 * dx, w2 * dy
             m11, m12, m22, s = (_slot_sum(slots, v) for v in
@@ -221,7 +223,7 @@ def lsq_table(grid, p=0, stencil_mode="face"):
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
             too_close = np.bincount(row[d < tol], minlength=len(length))
             bad = ((length < 2) | (too_close > 0)
-                   | (det <= SINGULARITY_EPS * fro2))
+                   | ~(det > SINGULARITY_EPS * fro2))
             cx = np.where(bad[row], 0.0,
                           (m22[row] * bx - m12[row] * by) / det[row])
             cy = np.where(bad[row], 0.0,

@@ -17,24 +17,16 @@ variable is validated but has no effect.
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGridError
-from .grid import _require_geometry
 from .lsq import apply_gradient, lsq_table
 
 CSV_HEADER = (
     "grid_name,ncells,p,stencil_mode,"
     "F_min,F_max,F_avg,G_min,G_max,G_avg,degenerate_count"
 )
-
-
-class MeasureValues(NamedTuple):
-    f: float
-    g: float
-    degenerate: bool
 
 
 @dataclass
@@ -55,13 +47,6 @@ class MeasureReport:
     g_max: float
     g_avg: float
     degenerate_count: int
-
-    def cell(self, j):
-        return MeasureValues(
-            float(self.f_values[j]),
-            float(self.g_values[j]),
-            bool(self.degenerate[j]),
-        )
 
     def csv_row(self):
         return (
@@ -122,7 +107,6 @@ def analyze(grid, p=0, stencil_mode="face"):
     DegenerateGridError
         More than half of the cells are degenerate.
     """
-    _require_geometry(grid)
     n = grid.n_cells
     if n == 0:
         raise DegenerateGridError("grid has no cells")

@@ -28,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import _require_geometry
 from .lsq import lsq_table
 
 DIVERGENCE_FACTOR = 1e6
@@ -85,7 +84,6 @@ class _Advection:
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
-        _require_geometry(grid)
         self.grid = grid
         self.theta = theta
         n = grid.n_cells
@@ -197,7 +195,6 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     initial one, or a non-finite one, stops the solve as diverged.
     """
     spec.validate()
-    _require_geometry(grid)
 
     op = _Advection(grid, spec.theta, p, stencil_mode,
                     first_order=spec.first_order)

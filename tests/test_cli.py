@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gridgauge import CSV_HEADER, load_grid
+from gridgauge import CSV_HEADER, GenSpec, generate, load_grid
 from gridgauge.cli import main
+from gridgauge.grid import cell_lines
 
 
 def run(capsys, *argv):
@@ -38,9 +39,9 @@ def test_gen_quad_ar_spacing(tmp_path, capsys):
                      "--nx", "16", "--ny", "16", "-o", str(path))
     assert code == 0
     grid = load_grid(path)
-    cell = grid.cells[0]
-    xs = grid.nodes[list(cell.vertices), 0]
-    ys = grid.nodes[list(cell.vertices), 1]
+    vertices = grid.cell_nodes[0, :grid.cell_nverts[0]]
+    xs = grid.nodes[vertices, 0]
+    ys = grid.nodes[vertices, 1]
     assert (xs.max() - xs.min()) / (ys.max() - ys.min()) == pytest.approx(4.0)
 
 
@@ -137,6 +138,38 @@ def test_analyze_degenerate_grid_numerical_exit(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 4
     assert err
+
+
+@pytest.fixture(scope="module")
+def scaled_grid_paths(tmp_path_factory):
+    """tri-irregular 9x9 (seed 1) files with every coordinate scaled."""
+    grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
+    root = tmp_path_factory.mktemp("scaled")
+    paths = {}
+    for scale in (1e-150, 1e-80, 1.0, 1e80, 1e150):
+        path = root / f"s{scale:g}.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{grid.n_nodes} {grid.n_cells}\n")
+            fh.writelines(f"{x!r} {y!r}\n"
+                          for x, y in (grid.nodes * scale).tolist())
+            fh.writelines(cell_lines(grid))
+        paths[scale] = path
+    return paths
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+@pytest.mark.parametrize("stencil", ["face", "vertex"])
+@pytest.mark.parametrize("scale", [1e-150, 1e-80, 1.0, 1e80, 1e150])
+def test_analyze_extreme_scale_never_nan(scaled_grid_paths, capsys, scale,
+                                         stencil, p):
+    # Products of huge offsets overflow to inf and NaN: such cells must be
+    # flagged degenerate or the file rejected, never averaged.
+    code, out, err = run(capsys, "analyze", str(scaled_grid_paths[scale]),
+                         "--stencil", stencil, "--p", p)
+    assert code in (0, 3, 4)
+    assert "nan" not in (out + err).lower()
+    if scale == 1.0:
+        assert code == 0
 
 
 def test_rank_orders_by_g_avg(tmp_path, capsys):
@@ -250,6 +283,18 @@ def test_solve_bad_tolerance(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--tol", "-1")
     assert code == 2
     assert "tolerance" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol", "-1"]])
+def test_solve_checks_grid_before_flags(tmp_path, capsys, flags):
+    # The file parses, but edge (0, 1) is shared by three cells.
+    path = tmp_path / "thrice.txt"
+    path.write_text("5 3\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+                    "3 0 1 2\n3 1 0 3\n3 0 1 4\n")
+    code, out, err = run(capsys, "solve", str(path), *flags)
+    assert code == 3
+    assert out == ""
+    assert "shared by more than two cells" in err
 
 
 def test_threads_env_same_cli_output(tmp_path, capsys, monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 from gridgauge import (
     DegenerateStencilError,
     GenSpec,
+    Grid,
     GridFormatError,
     build_stencil,
-    build_stencils,
     derive_geometry,
     generate,
     grid_to_text,
@@ -55,7 +55,8 @@ def test_parse_smallest_quad():
     grid = parse_grid(UNIT_QUAD)
     assert grid.n_nodes == 4
     assert grid.n_cells == 1
-    assert grid.cells[0].vertices == (0, 1, 2, 3)
+    assert grid.cell_nodes[0].tolist() == [0, 1, 2, 3]
+    assert grid.cell_nverts.tolist() == [4]
 
 
 def test_parse_out_of_range_vertex():
@@ -136,7 +137,8 @@ def test_roundtrip_exact():
     text1 = grid_to_text(grid)
     again = parse_grid(text1)
     assert np.array_equal(again.nodes, grid.nodes)
-    assert [c.vertices for c in again.cells] == [c.vertices for c in grid.cells]
+    assert np.array_equal(again.cell_nodes, grid.cell_nodes)
+    assert np.array_equal(again.cell_nverts, grid.cell_nverts)
     assert grid_to_text(again) == text1
 
 
@@ -150,48 +152,46 @@ def test_write_then_parse_stream():
 
 def test_triangle_geometry():
     grid = derive_geometry(parse_grid(TRIANGLE))
-    cell = grid.cells[0]
-    assert cell.centroid == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
-    assert cell.area == pytest.approx(0.5, abs=1e-15)
+    assert grid.centroids[0] == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
+    assert grid.areas[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_unit_square_geometry():
     grid = derive_geometry(parse_grid(UNIT_QUAD))
-    cell = grid.cells[0]
-    assert cell.centroid == pytest.approx((0.5, 0.5), abs=1e-15)
-    assert cell.area == pytest.approx(1.0, abs=1e-15)
+    assert grid.centroids[0] == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert grid.areas[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_two_by_two_faces():
     # enumerated by hand: 4 shared edges inside, 8 on the boundary
     grid = derive_geometry(parse_grid(TWO_BY_TWO))
-    interior = [f for f in grid.faces if f.neighbor != -1]
-    boundary = [f for f in grid.faces if f.neighbor == -1]
-    assert len(interior) == 4
-    assert len(boundary) == 8
-    for f in interior:
-        assert f.owner != f.neighbor
+    fa = grid.face_arrays
+    interior = fa.neighbor != -1
+    assert interior.sum() == 4
+    assert (~interior).sum() == 8
+    assert (fa.owner[interior] != fa.neighbor[interior]).all()
 
 
 def test_face_normals_unit_and_outward():
     grid = derive_geometry(parse_grid(UNIT_QUAD))
-    for f in grid.faces:
-        nx, ny = f.normal
+    fa = grid.face_arrays
+    for owner, (nx, ny), (mx, my) in zip(fa.owner, fa.normal, fa.midpoint):
         assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-14)
         # outward: normal points away from the cell centroid
-        cx, cy = grid.cells[f.owner].centroid
-        mx, my = f.midpoint
+        cx, cy = grid.centroids[owner]
         assert (mx - cx) * nx + (my - cy) * ny > 0
 
 
 def test_face_conservation_closed_cells():
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.35, seed=11))
     sums = np.zeros((grid.n_cells, 2))
-    for f in grid.faces:
-        v = np.array(f.normal) * f.length
-        sums[f.owner] += v
-        if f.neighbor != -1:
-            sums[f.neighbor] -= v
+    fa = grid.face_arrays
+    for owner, nb, normal, length in zip(fa.owner, fa.neighbor, fa.normal,
+                                         fa.length):
+        v = normal * length
+        sums[owner] += v
+        if nb != -1:
+            sums[nb] -= v
     assert np.abs(sums).max() < 1e-12
 
 
@@ -252,10 +252,11 @@ def test_face_stencil_symmetry():
         except DegenerateStencilError:
             listed[j] = None
     adj = {}
-    for f in grid.faces:
-        if f.neighbor != -1:
-            adj.setdefault(f.owner, set()).add(f.neighbor)
-            adj.setdefault(f.neighbor, set()).add(f.owner)
+    fa = grid.face_arrays
+    for owner, nb in zip(fa.owner.tolist(), fa.neighbor.tolist()):
+        if nb != -1:
+            adj.setdefault(owner, set()).add(nb)
+            adj.setdefault(nb, set()).add(owner)
     for j, nbs in listed.items():
         if nbs is None:
             continue
@@ -283,9 +284,9 @@ def test_stencil_translation_invariance():
 def test_offsets_recomputable_from_centroids():
     grid = generate(GenSpec(kind="tri_regular", nx=5, ny=5))
     st = build_stencil(grid, 7, mode="face")
-    xj, yj = grid.cells[7].centroid
+    xj, yj = grid.centroids[7].tolist()
     for k, nb in enumerate(st.neighbors):
-        xk, yk = grid.cells[nb].centroid
+        xk, yk = grid.centroids[nb].tolist()
         assert st.dx[k] == xk - xj
         assert st.dy[k] == yk - yj
         assert st.d[k] == math.hypot(xk - xj, yk - yj)
@@ -305,8 +306,6 @@ def test_single_neighbor_is_degenerate():
     grid = derive_geometry(parse_grid(text))
     with pytest.raises(DegenerateStencilError):
         build_stencil(grid, 0, mode="face")
-    with pytest.raises(DegenerateStencilError):
-        build_stencils(grid, mode="face")
 
 
 def test_unknown_stencil_mode():
@@ -479,9 +478,8 @@ def test_edge_shared_by_three_cells_rejected():
 3 1 0 3
 3 0 1 4
 """
-    grid = parse_grid(text)
     with pytest.raises(GridFormatError) as err:
-        derive_geometry(grid)
+        parse_grid(text)
     assert str(err.value) == "edge (0, 1) shared by more than two cells"
     assert err.value.line is None
 
@@ -489,9 +487,8 @@ def test_edge_shared_by_three_cells_rejected():
 def test_coincident_nodes_zero_length_edge_rejected():
     # Nodes 1 and 2 coincide; the quad still has positive area.
     text = UNIT_QUAD.replace("1.0 1.0", "1.0 0.0")
-    grid = parse_grid(text)
     with pytest.raises(GridFormatError) as err:
-        derive_geometry(grid)
+        parse_grid(text)
     assert str(err.value) == "zero-length edge (1, 2) in cell 0"
     assert err.value.line is None
 
@@ -506,9 +503,8 @@ def test_zero_fan_area_rejected():
 0.6666666666666666 1.0
 4 0 1 2 3
 """
-    grid = parse_grid(text)
     with pytest.raises(GridFormatError) as err:
-        derive_geometry(grid)
+        parse_grid(text)
     assert str(err.value) == "cell 0 has non-positive area 0.0"
     assert err.value.line is None
 
@@ -534,6 +530,19 @@ def test_first_faulty_edge_reported():
     with pytest.raises(GridFormatError) as err:
         derive_geometry(parse_grid(text))
     assert str(err.value) == "edge (0, 1) shared by more than two cells"
+
+
+@pytest.mark.parametrize("corners, scale, message", [
+    # Both fan products overflow to inf: the area is inf - inf = NaN.
+    ([[0, 0], [2, 1], [1, 2]], 1e160, "cell 0 has non-positive area nan"),
+    # The area is finite, but area times coordinate sum overflows.
+    ([[0, 0], [1, 0], [0, 1]], 1e150, "cell 0 has a non-finite centroid"),
+])
+def test_overflowing_geometry_rejected(corners, scale, message):
+    nodes = np.array(corners, dtype=float) * scale
+    with pytest.raises(GridFormatError) as err:
+        Grid("huge", nodes, np.array([[0, 1, 2, -1]]), np.array([3]))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("index", ["4", "-1"])

@@ -8,7 +8,7 @@ def test_single_quad_cell():
     grid = generate(GenSpec(kind="quad", nx=2, ny=2))
     assert grid.n_nodes == 4
     assert grid.n_cells == 1
-    assert grid.cells[0].area == pytest.approx(1.0, abs=1e-15)
+    assert grid.areas[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_quad_counts_16():
@@ -20,14 +20,14 @@ def test_quad_counts_16():
 def test_tri_regular_single_split():
     grid = generate(GenSpec(kind="tri_regular", nx=2, ny=2))
     assert grid.n_cells == 2
-    assert all(c.area == pytest.approx(0.5, abs=1e-15) for c in grid.cells)
+    assert all(a == pytest.approx(0.5, abs=1e-15) for a in grid.areas)
 
 
 def test_tri_regular_uniform_diagonal():
     grid = generate(GenSpec(kind="tri_regular", nx=5, ny=5))
     assert grid.n_cells == 32
     # every cell is a triangle of the same area
-    areas = np.array([c.area for c in grid.cells])
+    areas = grid.areas
     assert np.allclose(areas, areas[0], rtol=1e-13)
 
 
@@ -42,7 +42,8 @@ def test_determinism_bit_identical():
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a.nodes, b.nodes)
-    assert [c.vertices for c in a.cells] == [c.vertices for c in b.cells]
+    assert np.array_equal(a.cell_nodes, b.cell_nodes)
+    assert np.array_equal(a.cell_nverts, b.cell_nverts)
     assert grid_to_text(a) == grid_to_text(b)
 
 
@@ -78,9 +79,9 @@ def test_quad_ar_spacing():
     grid = generate(GenSpec(kind="quad_ar", nx=16, ny=16, aspect_ratio=4.0))
     x0, y0, x1, y1 = grid.bbox
     assert (x1, y1) == (1.0, 0.25)
-    cell = grid.cells[0]
-    xs = grid.nodes[list(cell.vertices), 0]
-    ys = grid.nodes[list(cell.vertices), 1]
+    vertices = grid.cell_nodes[0, :grid.cell_nverts[0]]
+    xs = grid.nodes[vertices, 0]
+    ys = grid.nodes[vertices, 1]
     dx = xs.max() - xs.min()
     dy = ys.max() - ys.min()
     assert dx / dy == pytest.approx(4.0, rel=1e-12)

@@ -120,10 +120,11 @@ def test_linear_field_exact_away_from_fallback_cells():
         source=src, inflow=inflow,
     )
     affected = set(j for j, s in enumerate(stencils) if s is None)
-    for f in grid.faces:
-        if f.neighbor != -1 and (f.owner in affected or f.neighbor in affected):
-            affected.add(f.owner)
-            affected.add(f.neighbor)
+    fa = grid.face_arrays
+    for owner, nb in zip(fa.owner.tolist(), fa.neighbor.tolist()):
+        if nb != -1 and (owner in affected or nb in affected):
+            affected.add(owner)
+            affected.add(nb)
     mask = np.ones(grid.n_cells, dtype=bool)
     mask[list(affected)] = False
     assert mask.sum() > grid.n_cells // 2
@@ -161,10 +162,11 @@ def test_jacobian_pattern_matches_face_adjacency():
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.3, seed=3))
     jac = jacobian_low_order(grid, 30.0)
     adj = {j: {j} for j in range(grid.n_cells)}
-    for f in grid.faces:
-        if f.neighbor != -1:
-            adj[f.owner].add(f.neighbor)
-            adj[f.neighbor].add(f.owner)
+    fa = grid.face_arrays
+    for owner, nb in zip(fa.owner.tolist(), fa.neighbor.tolist()):
+        if nb != -1:
+            adj[owner].add(nb)
+            adj[nb].add(owner)
     indptr, indices = jac.indptr, jac.indices
     for j in range(grid.n_cells):
         cols = set(indices[indptr[j]:indptr[j + 1]])
@@ -241,15 +243,17 @@ def test_conservation_interior_fluxes_cancel():
             du = [u[k] - u[j] for k in st.neighbors]
             grads[j] = apply_gradient(sy, du)
     boundary_total = 0.0
-    for f in grid.faces:
-        if f.neighbor != -1:
+    fa = grid.face_arrays
+    for j, nb, (nx, ny), (mx, my), length in zip(
+            fa.owner.tolist(), fa.neighbor.tolist(), fa.normal.tolist(),
+            fa.midpoint.tolist(), fa.length.tolist()):
+        if nb != -1:
             continue
-        j = f.owner
-        cx, cy = grid.cells[j].centroid
+        cx, cy = grid.centroids[j].tolist()
         gx, gy = grads[j]
-        ul = u[j] + gx * (f.midpoint[0] - cx) + gy * (f.midpoint[1] - cy)
-        an = ax * f.normal[0] + ay * f.normal[1]
-        boundary_total += (0.5 * an * ul - 0.5 * abs(an) * (-ul)) * f.length
+        ul = u[j] + gx * (mx - cx) + gy * (my - cy)
+        an = ax * nx + ay * ny
+        boundary_total += (0.5 * an * ul - 0.5 * abs(an) * (-ul)) * length
     assert res.sum() == pytest.approx(boundary_total, abs=1e-12)
 
 
