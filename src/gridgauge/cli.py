@@ -99,11 +99,6 @@ def _cmd_gen(args):
         perturb=args.perturb,
         seed=args.seed,
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"gridgauge gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     grid = generate(spec)
     save_grid(grid, args.output)
     return EXIT_OK
@@ -157,11 +152,6 @@ def _cmd_solve(args):
         max_sweeps=args.max_sweeps,
         first_order=args.first_order,
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"gridgauge solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     report = solver.defect_correction_solve(
         grid, spec, p=args.p, stencil_mode=args.stencil
     )

@@ -14,6 +14,7 @@ restores the grid's name; all other comments are ignored.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -130,9 +131,11 @@ def _signed_areas(nodes, cell_nodes, nverts):
     end, valid = _edge_ends(cell_nodes, nverts)
     x, y = nodes[:, 0], nodes[:, 1]
     a = np.zeros(len(nverts))
-    for k in range(4):
-        s, e = cell_nodes[:, k], end[:, k]
-        a = np.where(valid[:, k], a + (x[s] * y[e] - x[e] * y[s]), a)
+    # Huge coordinates overflow to inf and NaN, which the callers reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(4):
+            s, e = cell_nodes[:, k], end[:, k]
+            a = np.where(valid[:, k], a + (x[s] * y[e] - x[e] * y[s]), a)
     return 0.5 * a
 
 
@@ -245,7 +248,7 @@ def _parse_bulk(text, name):
     if any((cell_nodes[:, i] == cell_nodes[:, k]).any()
            for i in range(4) for k in range(i + 1, 4)):
         return None
-    if (_signed_areas(nodes, cell_nodes, nverts) <= 0.0).any():
+    if not (_signed_areas(nodes, cell_nodes, nverts) > 0.0).all():
         return None
     return name, nodes, cell_nodes, nverts
 
@@ -335,8 +338,10 @@ def _parse_lines(text, name):
         if len(set(verts)) != nverts:
             raise GridFormatError(f"repeated vertex in cell {verts}", line=lineno)
         pts = [(float(nodes[v, 0]), float(nodes[v, 1])) for v in verts]
-        if _signed_area(pts) <= 0.0:
+        area = _signed_area(pts)
+        if not area > 0.0:
             raise GridFormatError(
+                "cell area overflows" if math.isnan(area) else
                 "cell has non-positive area (vertices must be counter-clockwise)",
                 line=lineno,
             )
@@ -398,7 +403,7 @@ def derive_geometry(grid):
     non-positive (or NaN) area; else for a zero-length edge, or an edge
     shared by more than two cells or traversed twice in the same direction,
     reporting the first in that order; else for a cell whose centroid
-    overflows.
+    overflows, then for one whose centroid underflows.
     """
     nodes, cell_nodes, nverts = grid.nodes, grid.cell_nodes, grid.cell_nverts
     x, y = nodes[:, 0], nodes[:, 1]
@@ -406,16 +411,25 @@ def derive_geometry(grid):
     # _polygon_centroid_area; a quad's second triangle is (v0, v2, v3).
     x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
     cx = cy = area = np.zeros(len(nverts))
-    # Huge coordinates overflow here; the checks below reject the result.
+    underflow = np.zeros(len(nverts), dtype=bool)
+    # Huge coordinates overflow here, tiny ones underflow; the checks below
+    # reject the result.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 2):
             x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
             x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
             a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
             fan = nverts > k + 1
+            sx, sy = x0 + x1 + x2, y0 + y1 + y2
+            tx, ty = a * sx / 3.0, a * sy / 3.0
+            # A term of nonzero factors below the normal range has lost
+            # precision, all of it if it is zero.
+            underflow |= fan & (a != 0.0) & (
+                (sx != 0.0) & (np.abs(tx) < sys.float_info.min)
+                | (sy != 0.0) & (np.abs(ty) < sys.float_info.min))
             area = np.where(fan, area + a, area)
-            cx = np.where(fan, cx + a * (x0 + x1 + x2) / 3.0, cx)
-            cy = np.where(fan, cy + a * (y0 + y1 + y2) / 3.0, cy)
+            cx = np.where(fan, cx + tx, cx)
+            cy = np.where(fan, cy + ty, cy)
         bad = np.flatnonzero(~(area > 0.0))
         if len(bad):
             j = int(bad[0])
@@ -464,6 +478,10 @@ def derive_geometry(grid):
     bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
     if len(bad):
         raise GridFormatError(f"cell {int(bad[0])} has a non-finite centroid")
+    bad = np.flatnonzero(underflow)
+    if len(bad):
+        raise GridFormatError(f"cell {int(bad[0])} has a centroid that "
+                              "underflows")
 
     neighbor = np.full(len(first), -1, dtype=np.intp)
     neighbor[face[second]] = cell[second]

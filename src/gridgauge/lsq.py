@@ -14,6 +14,7 @@ all cells at once, shared by the quality measures and the flow solver;
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def build_system(stencil, p=0):
     SingularStencilError
         det(A^T A) is not above SINGULARITY_EPS * ||A^T A||_F^2, i.e. the
         neighbor centroids are (numerically) collinear, or the normal
-        matrix overflows.
+        matrix overflows, or its determinant is subnormal.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
@@ -86,8 +87,9 @@ def build_system(stencil, p=0):
 
     det = m11 * m22 - m12 * m12
     fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
-    # Written so that a NaN det (from overflow) counts as singular.
-    if not det > SINGULARITY_EPS * fro2:
+    # Written so that a NaN det (from overflow) counts as singular, and so
+    # does a subnormal one (from underflow), which has lost its precision.
+    if not det > SINGULARITY_EPS * fro2 or det < sys.float_info.min:
         raise SingularStencilError(
             f"cell {stencil.cell}: normal matrix is singular "
             f"(det={det:.3e}, ||A^T A||_F^2={fro2:.3e})"
@@ -223,7 +225,8 @@ def lsq_table(grid, p=0, stencil_mode="face"):
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
             too_close = np.bincount(row[d < tol], minlength=len(length))
             bad = ((length < 2) | (too_close > 0)
-                   | ~(det > SINGULARITY_EPS * fro2))
+                   | ~(det > SINGULARITY_EPS * fro2)
+                   | (det < sys.float_info.min))
             cx = np.where(bad[row], 0.0,
                           (m22[row] * bx - m12[row] * by) / det[row])
             cy = np.where(bad[row], 0.0,

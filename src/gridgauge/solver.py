@@ -10,11 +10,14 @@ with advection direction a = (cos theta, sin theta). The manufactured field
 sin(pi x) sin(pi y) supplies the source term a.grad(u*) and the Dirichlet
 inflow data, so the exact steady solution is known.
 
-The implicit iteration is defect correction: the nonlinear update solves
-J du = -R(u) where R is the second-order residual but J is the exact
-Jacobian of the *first-order* residual (zero gradients). The linear systems
-are relaxed with symmetric point-implicit (forward/backward) sweeps until
-the inner residual drops tenfold or the sweep cap is hit.
+The residual is affine in u, R(u) = J u + Kx (Gx u) + Ky (Gy u) - b: Gx, Gy
+give the LSQ gradients, Kx, Ky carry them to the face states, b holds the
+source and the inflow data, and J is the exact Jacobian of the
+*first-order* residual (zero gradients). The implicit iteration is defect
+correction: each update solves J du = -R(u), which with exact inner solves
+propagates the error by -J^-1 (Kx Gx + Ky Gy). The linear systems are
+relaxed with symmetric point-implicit (forward/backward) sweeps until the
+inner residual drops tenfold or the sweep cap is hit.
 
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
@@ -80,33 +83,51 @@ class SolveReport:
 
 
 class _Advection:
-    """Packed face arrays and residual/Jacobian evaluation for one setup."""
+    """R(u) = J u + Kx (Gx u) + Ky (Gy u) - b, with J, Kx, Ky from one rule."""
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
-        self.grid = grid
-        self.theta = theta
         n = grid.n_cells
-
         t = math.radians(theta)
-        ax, ay = math.cos(t), math.sin(t)
-
         fa = grid.face_arrays
-        inner = fa.neighbor != -1
-        outer = ~inner
-        an = ax * fa.normal[:, 0] + ay * fa.normal[:, 1]
+        own, nb = fa.owner, fa.neighbor
+        inner, outer = nb != -1, nb == -1
+
+        def upwind(c):
+            """Weights (up, dn) of the flux up x_near + dn x_far out of a face
+            side whose outward normal has a.n = c."""
+            return (0.5 * (c + np.abs(c)) * fa.length,
+                    0.5 * (c - np.abs(c)) * fa.length)
+
+        # (up, dn) on the owner's side; (vp, vn) on the neighbor's. These
+        # equal (-dn, -up), so what leaves one cell enters the other, but
+        # negating would flip the sign of zero weights in J's pinned bytes.
+        c = math.cos(t) * fa.normal[:, 0] + math.sin(t) * fa.normal[:, 1]
+        (up, dn), (vp, vn) = upwind(c), upwind(-c)
+
+        def faces(so, sn):
+            """Sum over the sides of all faces of the flux out of that side,
+            with the owner's state scaled by so and the neighbor's by sn; a
+            boundary face has only its owner's side."""
+            o, m, ob = own[inner], nb[inner], own[outer]
+            rows = np.concatenate([o, o, m, m, ob])
+            cols = np.concatenate([o, m, m, o, ob])
+            vals = np.concatenate([(up * so)[inner], (dn * sn)[inner],
+                                   (vp * sn)[inner], (vn * so)[inner],
+                                   (up * so)[outer]])
+            return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+        # Face states are reconstructed to the midpoint m from the centroid
+        # c_j, u_j + (m - c_j) . grad u_j, so Kx scales x_j by mx - cx_j.
+        cx, cy = grid.centroids.T
         mx, my = fa.midpoint.T
-
-        self.own, self.nb = fa.owner[inner], fa.neighbor[inner]
-        self.an, self.ln = an[inner], fa.length[inner]
-        self.mx, self.my = mx[inner], my[inner]
-
-        self.bown, self.ban = fa.owner[outer], an[outer]
-        self.bln, self.bmx, self.bmy = fa.length[outer], mx[outer], my[outer]
-        self.ub = np.asarray(inflow(self.bmx, self.bmy), dtype=float)
-
-        self.cx, self.cy = grid.centroids.T
-        self.fv = source(self.cx, self.cy, theta) * grid.areas
+        self.jac = faces(np.ones(len(c)), np.ones(len(c)))
+        self.kx = faces(mx - cx[own], mx - cx[nb])
+        self.ky = faces(my - cy[own], my - cy[nb])
+        # A boundary face's far state is the inflow data.
+        ub = np.asarray(inflow(mx[outer], my[outer]), dtype=float)
+        self.b = source(cx, cy, theta) * grid.areas \
+            - np.bincount(own[outer], weights=dn[outer] * ub, minlength=n)
 
         if first_order:
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
@@ -120,49 +141,8 @@ class _Advection:
             self.gx_op, self.gy_op = (g - sp.diags(g @ np.ones(n)) for g in ops)
 
     def residual(self, u):
-        n = self.grid.n_cells
-        gx = self.gx_op @ u
-        gy = self.gy_op @ u
-
-        res = np.zeros(n)
-        own, nb = self.own, self.nb
-        if len(own):
-            ul = u[own] + gx[own] * (self.mx - self.cx[own]) \
-                + gy[own] * (self.my - self.cy[own])
-            ur = u[nb] + gx[nb] * (self.mx - self.cx[nb]) \
-                + gy[nb] * (self.my - self.cy[nb])
-            an = self.an
-            flux = (0.5 * an * (ul + ur) - 0.5 * np.abs(an) * (ur - ul)) * self.ln
-            res += np.bincount(own, weights=flux, minlength=n)
-            res -= np.bincount(nb, weights=flux, minlength=n)
-
-        bown = self.bown
-        if len(bown):
-            ul = u[bown] + gx[bown] * (self.bmx - self.cx[bown]) \
-                + gy[bown] * (self.bmy - self.cy[bown])
-            ban = self.ban
-            bflux = (0.5 * ban * (ul + self.ub)
-                     - 0.5 * np.abs(ban) * (self.ub - ul)) * self.bln
-            res += np.bincount(bown, weights=bflux, minlength=n)
-
-        return res - self.fv
-
-    def jacobian(self):
-        """Exact Jacobian of the first-order (zero-gradient) residual."""
-        n = self.grid.n_cells
-        own, nb, an, ln = self.own, self.nb, self.an, self.ln
-        dplus = 0.5 * (an + np.abs(an)) * ln
-        dminus = 0.5 * (an - np.abs(an)) * ln
-        rows = np.concatenate([own, own, nb, nb, self.bown])
-        cols = np.concatenate([own, nb, nb, own, self.bown])
-        vals = np.concatenate([
-            dplus,                                     # outflow part, owner
-            dminus,                                    # inflow from neighbor
-            0.5 * (-an + np.abs(an)) * ln,             # same face, seen from nb
-            0.5 * (-an - np.abs(an)) * ln,
-            0.5 * (self.ban + np.abs(self.ban)) * self.bln,
-        ])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        return (self.jac @ u + self.kx @ (self.gx_op @ u)
+                + self.ky @ (self.gy_op @ u) - self.b)
 
 
 def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",
@@ -181,8 +161,7 @@ def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",
 
 def jacobian_low_order(grid, theta):
     """Sparse exact Jacobian of the first-order residual (CSR)."""
-    op = _Advection(grid, theta, first_order=True)
-    return op.jacobian()
+    return _Advection(grid, theta, first_order=True).jac
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
@@ -212,7 +191,7 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     if not math.isfinite(r0):
         return SolveReport(history, work_history, None, work, False, True, u)
 
-    jac = op.jacobian()
+    jac = op.jac
     lower = spla.splu(sp.tril(jac, format="csc"),
                       permc_spec="NATURAL", diag_pivot_thresh=0.0)
     upper = spla.splu(sp.triu(jac, format="csc"),

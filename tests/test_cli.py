@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gridgauge import CSV_HEADER, GenSpec, generate, load_grid
+from gridgauge import (
+    CSV_HEADER,
+    DegenerateGridError,
+    GenSpec,
+    GridFormatError,
+    analyze,
+    generate,
+    load_grid,
+    parse_grid,
+)
 from gridgauge.cli import main
 from gridgauge.grid import cell_lines
 
@@ -140,6 +149,13 @@ def test_analyze_degenerate_grid_numerical_exit(tmp_path, capsys):
     assert err
 
 
+def scaled_text(grid, scale):
+    """Grid file text of ``grid`` with every coordinate scaled."""
+    return (f"{grid.n_nodes} {grid.n_cells}\n"
+            + "".join(f"{x!r} {y!r}\n" for x, y in (grid.nodes * scale).tolist())
+            + "".join(cell_lines(grid)))
+
+
 @pytest.fixture(scope="module")
 def scaled_grid_paths(tmp_path_factory):
     """tri-irregular 9x9 (seed 1) files with every coordinate scaled."""
@@ -148,11 +164,7 @@ def scaled_grid_paths(tmp_path_factory):
     paths = {}
     for scale in (1e-150, 1e-80, 1.0, 1e80, 1e150):
         path = root / f"s{scale:g}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{grid.n_nodes} {grid.n_cells}\n")
-            fh.writelines(f"{x!r} {y!r}\n"
-                          for x, y in (grid.nodes * scale).tolist())
-            fh.writelines(cell_lines(grid))
+        path.write_text(scaled_text(grid, scale), encoding="utf-8")
         paths[scale] = path
     return paths
 
@@ -170,6 +182,35 @@ def test_analyze_extreme_scale_never_nan(scaled_grid_paths, capsys, scale,
     assert "nan" not in (out + err).lower()
     if scale == 1.0:
         assert code == 0
+
+
+def test_analyze_every_decade_matches_unit_scale():
+    # F has units 1/length and G none, so F * scale and G do not depend on
+    # the scale. Each decade either reproduces scale 1 or is rejected
+    # (GridFormatError, exit 3; DegenerateGridError, exit 4).
+    grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
+    unit = {}
+    accepted = set()
+    for e in [0] + list(range(-160, 161)):
+        scale = 10.0 ** e
+        try:
+            scaled = parse_grid(scaled_text(grid, scale))
+        except GridFormatError:
+            continue
+        for mode in ("face", "vertex"):
+            for p in (0, 1):
+                try:
+                    report = analyze(scaled, p=p, stencil_mode=mode)
+                except DegenerateGridError:
+                    continue
+                accepted.add(e)
+                got = ([report.f_min * scale, report.f_max * scale,
+                        report.f_avg * scale, report.g_min, report.g_max,
+                        report.g_avg], report.degenerate_count)
+                want = unit.setdefault((mode, p), got)
+                assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0.0), e
+                assert got[1] == want[1], e
+    assert accepted >= set(range(-70, 71))
 
 
 def test_rank_orders_by_g_avg(tmp_path, capsys):

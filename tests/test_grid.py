@@ -18,6 +18,7 @@ from gridgauge import (
     replace_nodes,
     write_grid,
 )
+from gridgauge.grid import cell_lines
 
 UNIT_QUAD = """4 1
 0.0 0.0
@@ -537,12 +538,26 @@ def test_first_faulty_edge_reported():
     ([[0, 0], [2, 1], [1, 2]], 1e160, "cell 0 has non-positive area nan"),
     # The area is finite, but area times coordinate sum overflows.
     ([[0, 0], [1, 0], [0, 1]], 1e150, "cell 0 has a non-finite centroid"),
+    # The area, 5e-221, is normal, but area times coordinate sum underflows.
+    ([[0, 0], [1, 0], [0, 1]], 1e-110, "cell 0 has a centroid that underflows"),
 ])
 def test_overflowing_geometry_rejected(corners, scale, message):
     nodes = np.array(corners, dtype=float) * scale
     with pytest.raises(GridFormatError) as err:
         Grid("huge", nodes, np.array([[0, 1, 2, -1]]), np.array([3]))
     assert str(err.value) == message
+
+
+def test_overflowing_shoelace_area_has_line_number():
+    # Shoelace products overflow to inf and their difference to NaN, which
+    # the parser rejects, without a NumPy warning, at that cell's line.
+    grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
+    text = f"{grid.n_nodes} {grid.n_cells}\n" + "".join(
+        f"{x!r} {y!r}\n" for x, y in (grid.nodes * 1e160).tolist())
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(text + "".join(cell_lines(grid)))
+    assert err.value.line is not None
+    assert str(err.value) == f"line {err.value.line}: cell area overflows"
 
 
 @pytest.mark.parametrize("index", ["4", "-1"])

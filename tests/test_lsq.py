@@ -242,7 +242,8 @@ def scalar_table(grid, p, mode):
 @pytest.mark.parametrize("mode", ["face", "vertex"])
 @pytest.mark.parametrize(
     "kind",
-    ["quad", "quad_ar", "tri_regular", "tri_irregular", "notch", "far", "huge"],
+    ["quad", "quad_ar", "tri_regular", "tri_irregular", "notch", "far", "huge",
+     "tiny"],
 )
 def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
     if kind == "notch":
@@ -253,6 +254,10 @@ def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
         # With p = 0 the normal matrix overflows to inf and NaN entries.
         grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
         grid = replace_nodes(grid, grid.nodes * 1e80)
+    elif kind == "tiny":
+        # With p = 0 the determinant of the normal matrix is subnormal.
+        grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
+        grid = replace_nodes(grid, grid.nodes * 1e-80)
     else:
         grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=4))
     # Blocks smaller than the grid, not dividing its cell count.
@@ -271,7 +276,7 @@ def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
         assert np.array_equal(got.data, want.data)
     if kind == "notch":
         assert bad[3] and bad[2] == (mode == "face")
-    if kind == "far" or (kind == "huge" and p == 0):
+    if kind == "far" or (kind in ("huge", "tiny") and p == 0):
         assert bad.all()
 
 

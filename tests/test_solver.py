@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -171,6 +172,92 @@ def test_jacobian_pattern_matches_face_adjacency():
     for j in range(grid.n_cells):
         cols = set(indices[indptr[j]:indptr[j + 1]])
         assert cols == adj[j]
+
+
+# sha256 of the Jacobian's CSR arrays (indptr and indices as int64, data as
+# float64) on 17x17 grids (tri_irregular: perturb 0.3, seed 42), taken before
+# the residual and the Jacobian were assembled by one face rule.
+JACOBIAN_GOLDEN = {
+    ("quad", 0.0):
+        "a481964020b9f695fc89057730bfef68153d2359f8d60ede0585e20d9c018cac",
+    ("quad", 30.0):
+        "472f8bb7587aa45dc48377ac3a8ec5a7203e35e92cd0bfa1946a689af9a4d2be",
+    ("quad", 245.0):
+        "0991cdc9d67d7d1d731b6065c8fb480472f526e655f56baf978266613127f8bd",
+    ("tri_regular", 0.0):
+        "6715a72c1bc4ac9b3b1c27d323ba9afb69995afd828368372a5367e01d2f5cde",
+    ("tri_regular", 30.0):
+        "c512c271cef8a70d2eb8eeb01fe1a2d952183f7252b2b62dba57ab0dd47f85bb",
+    ("tri_regular", 245.0):
+        "62c6490bafeabcf5994211a863a6fa2b9aa70811ab4d530c0f9052cb458d4966",
+    ("tri_irregular", 0.0):
+        "2ce3901726c21d29feab0f691dce8ef3b3b0fe84bba1a90164a77276aea56082",
+    ("tri_irregular", 30.0):
+        "6d70606293db6a4c3ecd68f3549ba06dfee2f422dcb5b787ef9c52efb675581e",
+    ("tri_irregular", 245.0):
+        "1aa8bcbf51ef655354b8ba825c3ae1b122040d18712637a4b2786511c1a72103",
+}
+
+
+@pytest.mark.parametrize("kind, theta", sorted(JACOBIAN_GOLDEN))
+def test_jacobian_golden_digest(kind, theta):
+    grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
+    jac = jacobian_low_order(grid, theta)
+    digest = hashlib.sha256()
+    for a, dtype in ((jac.indptr, np.int64), (jac.indices, np.int64),
+                     (jac.data, np.float64)):
+        digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert digest.hexdigest() == JACOBIAN_GOLDEN[kind, theta]
+
+
+def per_face_residual(grid, u, theta, p, mode, first_order):
+    """The residual one face at a time: scalar-oracle gradients (zero on
+    degenerate cells), midpoint states, the upwind flux with inflow data on
+    boundary faces, less source times area."""
+    cx, cy = grid.centroids.T.tolist()
+    grads = [(0.0, 0.0)] * grid.n_cells
+    for j in range(0 if first_order else grid.n_cells):
+        try:
+            stencil = build_stencil(grid, j, mode)
+            system = build_system(stencil, p)
+        except (DegenerateStencilError, SingularStencilError):
+            continue
+        grads[j] = apply_gradient(system,
+                                  [u[k] - u[j] for k in stencil.neighbors])
+
+    def state(j, mx, my):
+        gx, gy = grads[j]
+        return u[j] + gx * (mx - cx[j]) + gy * (my - cy[j])
+
+    t = math.radians(theta)
+    res = [0.0] * grid.n_cells
+    fa = grid.face_arrays
+    for j, nb, (nx, ny), (mx, my), length in zip(
+            fa.owner.tolist(), fa.neighbor.tolist(), fa.normal.tolist(),
+            fa.midpoint.tolist(), fa.length.tolist()):
+        ul = state(j, mx, my)
+        ur = float(exact_solution(mx, my)) if nb == -1 else state(nb, mx, my)
+        an = math.cos(t) * nx + math.sin(t) * ny
+        flux = (0.5 * an * (ul + ur) - 0.5 * abs(an) * (ur - ul)) * length
+        res[j] += flux
+        if nb != -1:
+            res[nb] -= flux
+    return np.array(res) - source_term(grid.centroids[:, 0],
+                                       grid.centroids[:, 1], theta) * grid.areas
+
+
+@pytest.mark.parametrize("mode, p, first_order", [
+    ("face", 0, False), ("face", 1, False), ("vertex", 0, False),
+    ("vertex", 1, False), ("face", 0, True)])
+@pytest.mark.parametrize("kind", ["quad", "tri_irregular"])
+def test_residual_matches_per_face_evaluation(kind, mode, p, first_order):
+    grid = generate(GenSpec(kind=kind, nx=9, ny=9, perturb=0.3, seed=3))
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, grid.n_cells)
+    for theta in (30.0, 245.0):
+        got = residual_second_order(grid, u, theta, p=p, stencil_mode=mode,
+                                    first_order=first_order)
+        want = per_face_residual(grid, u, theta, p, mode, first_order)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_first_order_newton_property():
