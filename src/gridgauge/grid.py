@@ -113,7 +113,7 @@ class Grid:
 def _hypot(x, y):
     """Elementwise math.hypot of two float arrays. np.hypot differs from it
     in the last ulp on some inputs."""
-    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def _edge_ends(cell_nodes, nverts):
@@ -357,16 +357,22 @@ def write_grid(grid, stream):
     if grid.name:
         stream.write(f"# name: {grid.name}\n")
     stream.write(f"{grid.n_nodes} {grid.n_cells}\n")
-    for x, y in grid.nodes:
-        stream.write(f"{float(x)!r} {float(y)!r}\n")
-    stream.writelines(cell_lines(grid))
+    stream.write(("%r %r\n" * grid.n_nodes) % _node_values(grid))
+    stream.write(cell_lines(grid))
+
+
+def _node_values(grid):
+    """The flat tuple x0, y0, x1, y1, ... of node coordinates as floats."""
+    return tuple(grid.nodes.astype(float).ravel().tolist())
 
 
 def cell_lines(grid):
-    """Lines "<nverts> v1 ... vn" of all cells, as grid and VTK files list
-    them."""
-    for k, row in zip(grid.cell_nverts.tolist(), grid.cell_nodes.tolist()):
-        yield f"{k} {' '.join(map(str, row[:k]))}\n"
+    """One string of the lines "<nverts> v1 ... vn" of all cells, as grid
+    and VTK files list them."""
+    line = [f"{k}{' %d' * k}\n" for k in range(5)]
+    verts = grid.cell_nodes[_SLOTS < grid.cell_nverts[:, None]]
+    return "".join(map(line.__getitem__, grid.cell_nverts.tolist())) \
+        % tuple(verts.tolist())
 
 
 def grid_to_text(grid):

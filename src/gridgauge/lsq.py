@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SingularStencilError
+from .errors import DegenerateGridError, SingularStencilError
 from .grid import DEGENERACY_RTOL, _hypot
 
 # Relative determinant floor for the 2x2 normal matrix.
@@ -152,6 +152,19 @@ class LsqTable:
     cy: np.ndarray
 
 
+def check_stencils(degenerate, stencil_mode):
+    """Number of degenerate cells, given an :class:`LsqTable`'s
+    ``degenerate`` flags; raises :class:`DegenerateGridError` when they are
+    more than half of all cells."""
+    n, n_bad = len(degenerate), int(degenerate.sum())
+    if n_bad * 2 > n:
+        raise DegenerateGridError(
+            f"{n_bad} of {n} cells have degenerate stencils "
+            f"({stencil_mode} mode)"
+        )
+    return n_bad
+
+
 def _adjacency(grid, mode):
     """Sorted neighbor lists of all cells as CSR (indptr, indices): cells
     sharing an edge, or for mode="vertex" a node (C C^T less its diagonal,
@@ -237,7 +250,8 @@ def lsq_table(grid, p=0, stencil_mode="face"):
             smax = np.zeros(len(length))
             np.maximum.at(smax, row, d)
             x, y = dx / smax[row], dy / smax[row]
-            bump = np.array(list(map(math.exp, (-(x * x + y * y)).tolist())))
+            bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
+                               float, len(x))
             gx, gy = (_slot_sum(slots, c * (bump - 1.0)) for c in (cx, cy))
             table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
             table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))

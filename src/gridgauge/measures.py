@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError
-from .lsq import apply_gradient, lsq_table
+from .lsq import apply_gradient, check_stencils, lsq_table
 
 CSV_HEADER = (
     "grid_name,ncells,p,stencil_mode,"
@@ -112,14 +112,8 @@ def analyze(grid, p=0, stencil_mode="face"):
         raise DegenerateGridError("grid has no cells")
     _check_threads_env()
     table = lsq_table(grid, p, stencil_mode)
+    n_bad = check_stencils(table.degenerate, stencil_mode)
     f_values, g_values, degenerate = table.f, table.g, table.degenerate
-
-    n_bad = int(degenerate.sum())
-    if n_bad * 2 > n:
-        raise DegenerateGridError(
-            f"{n_bad} of {n} cells have degenerate stencils "
-            f"({stencil_mode} mode)"
-        )
 
     good_f = f_values[~degenerate]
     good_g = g_values[~degenerate]

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lsq import lsq_table
+from .lsq import check_stencils, lsq_table
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
@@ -129,6 +129,9 @@ class _Advection:
         self.b = source(cx, cy, theta) * grid.areas \
             - np.bincount(own[outer], weights=dn[outer] * ub, minlength=n)
 
+        # The stencils' degenerate flags, for the solve's check; not the
+        # whole table, which would stay alive through the solve.
+        self.degenerate = None
         if first_order:
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
@@ -136,6 +139,7 @@ class _Advection:
             # matvec adds each row's entries in order, as the scalar kernel
             # does; the subtraction drops zeros, so degenerate rows are empty.
             table = lsq_table(grid, p, stencil_mode)
+            self.degenerate = table.degenerate
             ops = [sp.csr_matrix((c, table.indices, table.indptr), shape=(n, n))
                    for c in (table.cx, table.cy)]
             self.gx_op, self.gy_op = (g - sp.diags(g @ np.ones(n)) for g in ops)
@@ -177,6 +181,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
 
     op = _Advection(grid, spec.theta, p, stencil_mode,
                     first_order=spec.first_order)
+    if op.degenerate is not None:
+        check_stencils(op.degenerate, stencil_mode)
 
     n = grid.n_cells
     u = np.zeros(n)

@@ -1,6 +1,8 @@
 """Legacy (ASCII, version 2.0) VTK unstructured-grid writer with cell data."""
 
-from .grid import cell_lines
+import numpy as np
+
+from .grid import _node_values, cell_lines
 
 _VTK_TRIANGLE = 5
 _VTK_QUAD = 9
@@ -20,32 +22,24 @@ def write_vtk(target, grid, cell_data=None, title="gridgauge export"):
 
 
 def _write(out, grid, cell_data, title):
-    out.write("# vtk DataFile Version 2.0\n")
-    out.write(f"{title}\n")
-    out.write("ASCII\n")
-    out.write("DATASET UNSTRUCTURED_GRID\n")
-
-    out.write(f"POINTS {grid.n_nodes} double\n")
-    for x, y in grid.nodes:
-        out.write(f"{float(x):.17g} {float(y):.17g} 0\n")
-
-    nverts = grid.cell_nverts.tolist()
-    out.write(f"CELLS {grid.n_cells} {sum(nverts) + grid.n_cells}\n")
-    out.writelines(cell_lines(grid))
-
-    out.write(f"CELL_TYPES {grid.n_cells}\n")
-    for k in nverts:
-        out.write(f"{_VTK_TRIANGLE if k == 3 else _VTK_QUAD}\n")
+    n, nverts = grid.n_cells, grid.cell_nverts
+    out.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
+              f"DATASET UNSTRUCTURED_GRID\nPOINTS {grid.n_nodes} double\n")
+    out.write(("%.17g %.17g 0\n" * grid.n_nodes) % _node_values(grid))
+    out.write(f"CELLS {n} {int(nverts.sum()) + n}\n")
+    out.write(cell_lines(grid))
+    out.write(f"CELL_TYPES {n}\n")
+    out.write("".join(np.where(nverts == 3, f"{_VTK_TRIANGLE}\n",
+                               f"{_VTK_QUAD}\n").tolist()))
 
     if cell_data:
-        out.write(f"CELL_DATA {grid.n_cells}\n")
+        out.write(f"CELL_DATA {n}\n")
         for name, values in cell_data.items():
-            if len(values) != grid.n_cells:
+            if len(values) != n:
                 raise ValueError(
                     f"cell field {name!r} has {len(values)} values for "
-                    f"{grid.n_cells} cells"
+                    f"{n} cells"
                 )
-            out.write(f"SCALARS {name} double 1\n")
-            out.write("LOOKUP_TABLE default\n")
-            for v in values:
-                out.write(f"{float(v):.17g}\n")
+            out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            out.write(("%.17g\n" * n)
+                      % tuple(np.asarray(values, dtype=float).tolist()))

@@ -184,6 +184,23 @@ def test_analyze_extreme_scale_never_nan(scaled_grid_paths, capsys, scale,
         assert code == 0
 
 
+def test_solve_rejects_degenerate_grid_like_analyze(scaled_grid_paths,
+                                                    capsys):
+    # At 1e-80 every vertex stencil's normal matrix has a subnormal
+    # determinant: analyze rejects the grid, and solve must not quietly
+    # solve the first-order problem instead.
+    path = str(scaled_grid_paths[1e-80])
+    flags = ("--stencil", "vertex", "--p", "0")
+    code_a, _, err_a = run(capsys, "analyze", path, *flags)
+    code_s, out_s, err_s = run(capsys, "solve", path, *flags)
+    assert (code_a, code_s) == (4, 4)
+    assert err_a == err_s == ("gridgauge: 128 of 128 cells have degenerate "
+                              "stencils (vertex mode)\n")
+    assert out_s == ""
+    code, out, _ = run(capsys, "solve", path, *flags, "--first-order")
+    assert code == 0 and out.splitlines()[-1].startswith("converged")
+
+
 def test_analyze_every_decade_matches_unit_scale():
     # F has units 1/length and G none, so F * scale and G do not depend on
     # the scale. Each decade either reproduces scale 1 or is rejected

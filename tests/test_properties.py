@@ -1,6 +1,9 @@
 """Property tests of the grid core on small random grids."""
 
+from unittest import mock
+
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,9 @@ from gridgauge import (
     grid_to_text,
     parse_grid,
 )
+from gridgauge import lsq
 from gridgauge.grid import _parse_bulk, _parse_lines, _polygon_centroid_area
+from tests.test_lsq import scalar_table
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -80,6 +85,27 @@ def test_geometry_equals_scalar_fan(spec):
         centroid, area = _polygon_centroid_area(pts)
         assert grid.centroids[j].tolist() == list(centroid)
         assert grid.areas[j] == area
+
+
+@SETTINGS
+@given(specs)
+def test_lsq_table_equals_scalar_oracle(spec):
+    grid = generate(spec)
+    for mode in ("face", "vertex"):
+        for p in (0, 1):
+            bad, f, g, ops = scalar_table(grid, p, mode)
+            # Blocks of 16 cells, so that most grids span several.
+            with mock.patch.object(lsq, "BLOCK", 16):
+                table = lsq.lsq_table(grid, p, mode)
+            assert np.array_equal(table.degenerate, bad)
+            assert np.array_equal(table.f, f, equal_nan=True)
+            assert np.array_equal(table.g, g, equal_nan=True)
+            for coefficients, op in zip((table.cx, table.cy), ops):
+                want = op.toarray()
+                np.fill_diagonal(want, 0.0)
+                got = sp.csr_matrix((coefficients, table.indices,
+                                     table.indptr), shape=op.shape).toarray()
+                assert np.array_equal(got, want)
 
 
 @SETTINGS
