@@ -14,9 +14,10 @@ restores the grid's name; all other comments are ignored.
 """
 
 import math
+import re
 import sys
+import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -27,6 +28,12 @@ from .errors import DegenerateStencilError, GridFormatError
 DEGENERACY_RTOL = 1e-13
 # Slot numbers of the padded (n, 4) cell-node table.
 _SLOTS = np.arange(4)
+# The bytes the bulk parser takes after the header line.
+_BODY_BYTES = b"0123456789+-.eE \t\n"
+_LF, _SPACE = ord("\n"), ord(" ")
+_LONE_SIGN = re.compile(rb"[+-](?![0-9])")
+# The ASCII line breaks of str.splitlines besides LF and CRLF.
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 
 
 @dataclass
@@ -178,61 +185,105 @@ def _comment_name(line, name):
 
 
 def parse_grid(source, name=""):
-    """Parse a gridgauge text stream into a validated :class:`Grid`.
+    """Parse gridgauge text (a str, UTF-8 bytes, or a text or binary stream)
+    into a validated :class:`Grid`.
 
     Raises
     ------
     GridFormatError
-        Malformed header, wrong token count, non-finite coordinate,
-        out-of-range or repeated vertex index, non-positive cell area -- all
-        with a line number -- or a geometry fault found by
-        :func:`derive_geometry`.
+        Bytes that are not UTF-8, malformed header, wrong token count,
+        non-finite coordinate, out-of-range or repeated vertex index,
+        non-positive cell area -- all with a line number -- or a geometry
+        fault found by :func:`derive_geometry`.
     """
     text = source.read() if hasattr(source, "read") else source
+    if isinstance(text, bytes):
+        text = _decode(text)
     parsed = _parse_bulk(text, name)
     if parsed is None:
         return _parse_lines(text, name)
-    # Derive the geometry only once the text and the parser's token lists
-    # are freed: they would otherwise raise the peak memory of a load.
+    # Derive the geometry only once the text read from a stream is freed:
+    # it would otherwise raise the peak memory of a load.
     del text
     return Grid(*parsed)
 
 
+def _decode(data):
+    """The text of UTF-8 bytes; GridFormatError names the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; count lines as _parse_lines.
+        head = data[:exc.start].decode("utf-8") + "x"
+        raise GridFormatError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x} at offset {exc.start}",
+            line=len(head.splitlines())) from None
+
+
 def _parse_bulk(text, name):
-    """parse_grid for files whose comment and blank lines all precede the
-    header, converting all nodes and all cells at once into the
+    """parse_grid for ASCII files whose comment and blank lines all precede
+    the header, converting all nodes and all cells at once into the
     :class:`Grid` arguments (name, nodes, cell_nodes, cell_nverts). Returns
     None for any other file and wherever a check fails;
     :func:`_parse_lines` then parses the file or raises the error of its
     first bad line."""
-    lines = text.splitlines()
-    for start, raw in enumerate(lines):
-        line = raw.strip()
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    end = -1
+    while True:
+        start, end = end + 1, data.find(b"\n", end + 1)
+        if end < 0:
+            return None
+        line = data[start:end].decode().strip()
         if line and not line.startswith("#"):
             break
         if line:
             name = _comment_name(line, name)
-    else:
+    # Split at LF, these lines match str.splitlines only if none holds one of
+    # its other line breaks; _BODY_BYTES keeps those out of the body.
+    if any(c in data[:end] for c in _OTHER_BREAKS):
         return None
-    tokens = list(map(str.split, lines[start:]))
     try:
-        n_nodes, n_cells = map(int, tokens[0])
+        n_nodes, n_cells = map(int, line.split())
     except ValueError:
         return None
-    if min(n_nodes, n_cells) < 0 or len(tokens) != 1 + n_nodes + n_cells:
+    body = data[end + 1:]
+    if min(n_nodes, n_cells) < 0 or body.translate(None, _BODY_BYTES):
         return None
-    node_tokens, cell_tokens = tokens[1:1 + n_nodes], tokens[1 + n_nodes:]
-    lengths = np.fromiter(map(len, cell_tokens), np.intp, n_cells)
-    if (np.fromiter(map(len, node_tokens), np.intp, n_nodes) != 2).any() \
-            or (lengths < 4).any():
+    # Line ends and the number of tokens on each line, from the header's
+    # line feed on; every body byte above the space belongs to a token.
+    b = np.frombuffer(data, np.uint8, offset=end)
+    ends = np.flatnonzero(b[1:] == _LF)
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(body))
+    token = b > _SPACE
+    starts = np.flatnonzero(token[1:] > token[:-1])
+    counts = np.diff(np.searchsorted(starts, ends), prepend=0)
+    if len(ends) != n_nodes + n_cells or (counts[:n_nodes] != 2).any():
+        return None
+    lengths = counts[n_nodes:]
+    split = int(ends[n_nodes - 1]) + 1 if n_nodes else 0
+    node_text, cell_text = body[:split], body[split:]
+    # Cell lines hold integers only; numpy reads a lone sign as 0.
+    if (lengths < 4).any() or any(c in cell_text for c in b".eE") or (
+            (b"+" in cell_text or b"-" in cell_text)
+            and _LONE_SIGN.search(cell_text)):
         return None
     try:
-        nodes = np.fromiter(map(float, chain.from_iterable(node_tokens)),
-                            float, 2 * n_nodes).reshape(n_nodes, 2)
-        flat = np.fromiter(map(int, chain.from_iterable(cell_tokens)),
-                           np.int64, lengths.sum())
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # numpy < 2 warns and stops at a token it cannot read.
+            warnings.simplefilter("error", DeprecationWarning)
+            nodes = np.fromstring(node_text, sep=" ")
+            flat = np.fromstring(cell_text, np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
         return None
+    # Every token gives one number.
+    if len(nodes) != 2 * n_nodes or len(flat) != lengths.sum():
+        return None
+    nodes = nodes.reshape(n_nodes, 2)
     first = np.cumsum(lengths) - lengths
     nverts = flat[first].astype(np.intp)
     inside = _SLOTS < nverts[:, None]
@@ -388,7 +439,7 @@ def load_grid(path):
     import pathlib
 
     p = pathlib.Path(path)
-    with open(p, "r", encoding="utf-8") as fh:
+    with open(p, "rb") as fh:
         grid = parse_grid(fh)
     if not grid.name:
         grid.name = p.stem

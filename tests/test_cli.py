@@ -120,6 +120,18 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve", "rank"])
+def test_non_utf8_file_input_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# name: x\xff\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                     b"3 0 1 2\n")
+    paths = [str(path)] * (2 if command == "rank" else 1)
+    code, out, err = run(capsys, command, *paths)
+    assert code == 3
+    assert out == ""
+    assert err == ("gridgauge: line 1: invalid UTF-8 byte 0xff at offset 9\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "solve"])
 def test_non_finite_coordinate_input_error(tmp_path, capsys, command):
     # 2x2 quads with the center node at nan

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gridgauge import (
     replace_nodes,
     write_grid,
 )
-from gridgauge.grid import cell_lines
+from gridgauge.grid import _parse_bulk, _parse_lines, cell_lines
 
 UNIT_QUAD = """4 1
 0.0 0.0
@@ -600,3 +601,114 @@ def test_layouts_parse_alike(layout):
     assert np.array_equal(again.nodes, grid.nodes)
     assert np.array_equal(again.cell_nodes, grid.cell_nodes)
     assert grid_to_text(again).split("\n", 1)[1] == text.split("\n", 1)[1]
+
+
+# Two quads and four triangles on a 3x3 block of nodes.
+MIXED = """# name: mixed
+9 6
+0.0 0.0
+1.0 0.0
+2.0 0.0
+0.0 1.0
+1.0 1.0
+2.0 1.0
+0.0 2.0
+1.0 2.0
+2.0 2.0
+4 0 1 4 3
+4 1 2 5 4
+3 3 4 7
+3 3 7 6
+3 4 5 8
+3 4 8 7
+"""
+
+
+def parse_outcome(parse, text):
+    """The parsed name, node bits and cell table, or the GridFormatError
+    message and line; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = parse(text)
+        except GridFormatError as exc:
+            return "error", str(exc), exc.line
+    return (grid.name, grid.nodes.view(np.int64).tolist(),
+            grid.cell_nodes.tolist(), grid.cell_nverts.tolist())
+
+
+def vertex(token):
+    return MIXED.replace("4 0 1 4 3\n", f"4 0 1 4 {token}\n")
+
+
+def coordinate(token):
+    return MIXED.replace("\n0.0 0.0\n", f"\n{token} 0.0\n")
+
+
+@pytest.mark.parametrize("text", [
+    MIXED,
+    vertex("+3"),
+    MIXED.replace("3 3 4 7\n", "3 3 4 007\n"),
+    MIXED.replace("4 0 1 4 3\n", "4 -0 1 4 3\n"),
+    vertex("1_0"),
+    vertex("0_3"),
+    vertex(str(2**63)),
+    vertex("-"),
+    # Read as 0, the sign would make the quad's last vertex node 0.
+    MIXED.replace("4 0 1 4 3\n", "") + "4 1 4 3 +",
+    vertex("3.0"),
+    vertex("3e0"),
+    vertex("1-2"),
+    coordinate("1_0"),
+    coordinate("0_0.5"),
+    coordinate("-0.0"),
+    coordinate(".5"),
+    coordinate("1."),
+    coordinate("1e400"),
+    coordinate("nan"),
+    coordinate("1e5-3"),
+    coordinate("1.0x"),
+    coordinate("5e-324"),
+    coordinate("-"),
+    MIXED.replace("0.0 1.0\n", "0.0 1.0\r", 1),
+    MIXED.replace("0.0 1.0\n", "0.0 1.0\x0c", 1),
+    MIXED.replace("0.0 1.0\n", "0.0 1.0\x1d", 1),
+    MIXED.replace("# name: mixed\n", "# name: mixed\r"),
+    MIXED.replace("# name: mixed\n", "# name: mixed\x0c# other\n"),
+    MIXED.replace("mixed", "mixed\u00e9"),
+    MIXED + "\n\n",
+    MIXED[:-1],
+    MIXED.replace("\n", "\r\n"),
+    MIXED.replace(" ", "\t"),
+    MIXED.replace("0.0 2.0\n", "0.0  2.0 \n"),
+    MIXED.replace("9 6\n", "9 6\n\n"),
+    MIXED.replace("9 6\n", "9 6 0\n"),
+    MIXED.replace("4 1 2 5 4\n", "4 1 2 5\n"),
+], ids=[
+    "plain", "index-plus", "index-leading-zeros", "index-minus-zero",
+    "index-underscore", "index-underscore-valid", "index-2**63",
+    "index-lone-sign", "index-lone-sign-at-end", "index-point",
+    "index-exponent", "index-1-2", "coord-underscore",
+    "coord-underscore-valid", "coord-minus-zero", "coord-leading-point",
+    "coord-trailing-point", "coord-1e400", "coord-nan", "coord-1e5-3",
+    "coord-1.0x", "coord-subnormal", "coord-lone-sign", "lone-cr",
+    "form-feed", "group-separator", "cr-in-prefix", "form-feed-in-comment",
+    "non-ascii-name",
+    "trailing-blank-lines", "no-final-newline", "crlf", "tabs",
+    "extra-blanks", "blank-line-after-header", "long-header",
+    "short-cell-line",
+])
+def test_bulk_parse_matches_line_parse(text):
+    assert parse_outcome(parse_grid, text) == parse_outcome(
+        lambda t: _parse_lines(t, ""), text)
+
+
+@pytest.mark.parametrize("layout", [
+    lambda t: t,
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(" ", "\t"),
+    lambda t: "\n# a comment\n\n# name: renamed\n" + t,
+    lambda t: t[:-1],
+], ids=["lf", "crlf", "tabs", "leading-comments", "no-final-newline"])
+def test_layouts_take_bulk_parse(layout):
+    assert _parse_bulk(layout(MIXED), "") is not None

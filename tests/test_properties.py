@@ -62,7 +62,15 @@ def test_write_read_write_fixpoint(spec):
 
 
 @SETTINGS
-@given(specs)
+@given(st.builds(
+    GenSpec,
+    kind=st.sampled_from(["quad", "quad_ar", "tri_regular", "tri_irregular"]),
+    nx=st.integers(2, 7),
+    ny=st.integers(2, 7),
+    aspect_ratio=st.floats(0.25, 8.0),
+    perturb=st.floats(0.0, 0.45),
+    seed=st.integers(0, 2**32 - 1),
+))
 def test_bulk_parse_equals_line_parse(spec):
     text = grid_to_text(generate(spec))
     bulk = _parse_bulk(text, "")
@@ -70,7 +78,8 @@ def test_bulk_parse_equals_line_parse(spec):
     assert bulk is not None
     name, nodes, cell_nodes, cell_nverts = bulk
     assert name == lines.name
-    assert np.array_equal(nodes, lines.nodes)
+    # Bitwise: array_equal takes -0.0 for 0.0.
+    assert np.array_equal(nodes.view(np.int64), lines.nodes.view(np.int64))
     assert np.array_equal(cell_nodes, lines.cell_nodes)
     assert np.array_equal(cell_nverts, lines.cell_nverts)
 
