@@ -26,6 +26,10 @@ from .errors import DegenerateStencilError, GridFormatError
 # Distances below this fraction of the bounding-box diagonal make a
 # neighbor unusable for gradient reconstruction.
 DEGENERACY_RTOL = 1e-13
+# Elements per block of _hypot: its temporaries then stay in the L2 cache.
+_HYPOT_BLOCK = 4096
+# Veltkamp's splitting constant, 2**27 + 1.
+_VELTKAMP = 134217729.0
 # Slot numbers of the padded (n, 4) cell-node table.
 _SLOTS = np.arange(4)
 # The bytes the bulk parser takes after the header line.
@@ -118,9 +122,74 @@ class Grid:
 
 
 def _hypot(x, y):
-    """Elementwise math.hypot of two float arrays. np.hypot differs from it
-    in the last ulp on some inputs."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+    """Elementwise math.hypot of two arrays, bit for bit; np.hypot differs
+    from it in the last ulp on some inputs.
+
+    A NumPy port of CPython's ``vector_norm`` (Modules/mathmodule.c) for two
+    coordinates: scale both magnitudes by 2**-e, e the frexp exponent of the
+    larger; square each exactly (Veltkamp/Dekker ``dl_mul``); add the
+    squares to 1.0 with ``dl_fast_sum``, carrying the rounding errors in
+    two sums; take the square root, apply one differential correction and
+    unscale. Lanes whose larger magnitude is zero, subnormal, at least
+    2**1022, inf or NaN, where the scale would not be a normal number or
+    vector_norm takes another branch, go to math.hypot itself. Integer
+    input is cast to float64, as math.hypot converts it.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    y = np.abs(np.asarray(y, dtype=float))
+    out = np.empty(len(x))
+    # The fast formula overflows and divides by zero in the fallback lanes.
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(x), _HYPOT_BLOCK):
+            block = slice(lo, lo + _HYPOT_BLOCK)
+            out[block] = _vector_norm(x[block], y[block])
+    return out
+
+
+def _vector_norm(x, y):
+    """math.hypot of the magnitudes x, y: one block of :func:`_hypot`."""
+    biased = np.maximum(x, y).view(np.int64) >> 52
+    # 2**-e with e = biased - 1022, built from its exponent bits.
+    scale = ((2045 - biased) << 52).view(float)
+    csum, frac1, frac2 = 1.0, 0.0, 0.0
+
+    def add(hi, lo):
+        # dl_fast_sum(csum, hi), then csum = sm.hi, frac1 += pr.lo and
+        # frac2 += sm.lo; the first call adds lo to 0.0, which sets the
+        # sign of a zero as vector_norm does.
+        nonlocal csum, frac1, frac2
+        total = csum + hi
+        frac1 = frac1 + lo
+        frac2 = frac2 + (hi - (total - csum))
+        csum = total
+
+    for v in (x * scale, y * scale):
+        add(*_dl_mul(v, v))
+    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+    add(*_dl_mul(-h, h))
+    h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+    out = h / scale
+    fall = np.flatnonzero((biased == 0) | (biased >= 2045))
+    if len(fall):
+        out[fall] = list(map(math.hypot, x[fall].tolist(), y[fall].tolist()))
+    return out
+
+
+def _dl_split(v):
+    """Veltkamp split of v into hi + lo, each of at most 26 bits."""
+    t = v * _VELTKAMP
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _dl_mul(a, b):
+    """Dekker's exact product: (z, zz) with a * b == z + zz."""
+    ahi, alo = _dl_split(a)
+    bhi, blo = (ahi, alo) if b is a else _dl_split(b)
+    p = ahi * bhi
+    q = ahi * blo + alo * bhi
+    z = p + q
+    return z, p - z + q + alo * blo
 
 
 def _edge_ends(cell_nodes, nverts):
@@ -191,14 +260,19 @@ def parse_grid(source, name=""):
     Raises
     ------
     GridFormatError
-        Bytes that are not UTF-8, malformed header, wrong token count,
-        non-finite coordinate, out-of-range or repeated vertex index,
-        non-positive cell area -- all with a line number -- or a geometry
-        fault found by :func:`derive_geometry`.
+        Bytes that are not UTF-8 or a text stream that fails to decode,
+        malformed header, wrong token count, non-finite coordinate,
+        out-of-range or repeated vertex index, non-positive cell area --
+        all with a line number -- or a geometry fault found by
+        :func:`derive_geometry`.
     """
-    text = source.read() if hasattr(source, "read") else source
-    if isinstance(text, bytes):
-        text = _decode(text)
+    try:
+        # A text stream decodes in its read().
+        text = source.read() if hasattr(source, "read") else source
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _decode_error(exc) from None
     parsed = _parse_bulk(text, name)
     if parsed is None:
         return _parse_lines(text, name)
@@ -208,16 +282,16 @@ def parse_grid(source, name=""):
     return Grid(*parsed)
 
 
-def _decode(data):
-    """The text of UTF-8 bytes; GridFormatError names the first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; count lines as _parse_lines.
-        head = data[:exc.start].decode("utf-8") + "x"
-        raise GridFormatError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x} at offset {exc.start}",
-            line=len(head.splitlines())) from None
+def _decode_error(exc):
+    """The GridFormatError of a failed decode: the first bad byte, its
+    offset in the bytes decoded, and its line as _parse_lines counts."""
+    data = exc.object
+    # The bytes before the bad one decode; "replace" keeps a stateful codec
+    # from raising again.
+    head = data[:exc.start].decode(exc.encoding, "replace") + "x"
+    return GridFormatError(
+        f"invalid {exc.encoding.upper()} byte 0x{data[exc.start]:02x} at "
+        f"offset {exc.start}", line=len(head.splitlines()))
 
 
 def _parse_bulk(text, name):

@@ -11,6 +11,8 @@ data, giving per-neighbor coefficients (cx_k, cy_k) so that the gradient is
 the dot product sum_k (cx_k, cy_k) du_k. :func:`lsq_table` builds them for
 all cells at once, shared by the quality measures and the flow solver;
 :func:`build_system` is the per-stencil reference it is tested against.
+The solver needs only the coefficients and the degenerate flags, so it
+builds a coefficient-only table, whose F and G fields are None.
 """
 
 import math
@@ -140,7 +142,8 @@ class LsqTable:
 
     Row j of the CSR (indptr, indices, cx, cy) lists cell j's neighbors in
     ascending order with their coefficients, zero where ``degenerate``.
-    f and g are NaN where degenerate.
+    f and g are NaN where degenerate, and None in the coefficient-only
+    table the solver builds (``lsq_table(..., measures=False)``).
     """
 
     degenerate: np.ndarray
@@ -201,13 +204,16 @@ def _slot_sum(slots, values):
     return out
 
 
-def lsq_table(grid, p=0, stencil_mode="face"):
+def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     """Build the :class:`LsqTable` of a grid.
 
     A cell is degenerate where :func:`~gridgauge.grid.build_stencil` or
     :func:`build_system` would raise. Cells are taken in blocks of BLOCK,
     and all arithmetic follows the scalar functions operation for operation,
-    so the table equals their results bit for bit.
+    so the table equals their results bit for bit. With ``measures=False``
+    the table stops at the coefficients and the degenerate flags, which is
+    all the solver uses: F and G are not computed, and ``f`` and ``g`` are
+    None.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
@@ -216,7 +222,8 @@ def lsq_table(grid, p=0, stencil_mode="face"):
     xc, yc = grid.centroids.T
     # A grid without cells may have no nodes, hence no bounding box.
     tol = DEGENERACY_RTOL * grid.bbox_diagonal if n else 0.0
-    table = LsqTable(np.empty(n, dtype=bool), np.empty(n), np.empty(n),
+    fg = (np.empty(n), np.empty(n)) if measures else (None, None)
+    table = LsqTable(np.empty(n, dtype=bool), *fg,
                      indptr, indices, np.empty(nnz), np.empty(nnz))
     for lo in range(0, n, BLOCK):
         rows = slice(lo, min(lo + BLOCK, n))
@@ -232,8 +239,8 @@ def lsq_table(grid, p=0, stencil_mode="face"):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
             bx, by = w2 * dx, w2 * dy
-            m11, m12, m22, s = (_slot_sum(slots, v) for v in
-                                (bx * dx, bx * dy, by * dy, w2 * d))
+            m11, m12, m22 = (_slot_sum(slots, v)
+                             for v in (bx * dx, bx * dy, by * dy))
             det = m11 * m22 - m12 * m12
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
             too_close = np.bincount(row[d < tol], minlength=len(length))
@@ -244,17 +251,18 @@ def lsq_table(grid, p=0, stencil_mode="face"):
                           (m22[row] * bx - m12[row] * by) / det[row])
             cy = np.where(bad[row], 0.0,
                           (m11[row] * by - m12[row] * bx) / det[row])
-
-            # G: gradient of the bump exp(-(x^2 + y^2)) in offsets scaled
-            # by the farthest neighbor distance.
-            smax = np.zeros(len(length))
-            np.maximum.at(smax, row, d)
-            x, y = dx / smax[row], dy / smax[row]
-            bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
-                               float, len(x))
-            gx, gy = (_slot_sum(slots, c * (bump - 1.0)) for c in (cx, cy))
-            table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
-            table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
+            if measures:
+                # G: gradient of the bump exp(-(x^2 + y^2)) in offsets
+                # scaled by the farthest neighbor distance.
+                smax = np.zeros(len(length))
+                np.maximum.at(smax, row, d)
+                x, y = dx / smax[row], dy / smax[row]
+                bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
+                                   float, len(x))
+                gx, gy = (_slot_sum(slots, c * (bump - 1.0)) for c in (cx, cy))
+                s = _slot_sum(slots, w2 * d)
+                table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
+                table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
         table.degenerate[rows] = bad
         table.cx[flat], table.cy[flat] = cx, cy
     return table

@@ -138,7 +138,7 @@ class _Advection:
             # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u). The
             # matvec adds each row's entries in order, as the scalar kernel
             # does; the subtraction drops zeros, so degenerate rows are empty.
-            table = lsq_table(grid, p, stencil_mode)
+            table = lsq_table(grid, p, stencil_mode, measures=False)
             self.degenerate = table.degenerate
             ops = [sp.csr_matrix((c, table.indices, table.indptr), shape=(n, n))
                    for c in (table.cx, table.cy)]

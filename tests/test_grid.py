@@ -152,6 +152,24 @@ def test_write_then_parse_stream():
     assert np.array_equal(again.nodes, grid.nodes)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"# name: x\xff\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n3 0 1 2\n",
+     "line 1: invalid UTF-8 byte 0xff at offset 9"),
+    (b"3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n3 0 1 2\n# caf\xc3\xa9\xfe\n",
+     "line 6: invalid UTF-8 byte 0xfe at offset 43"),
+], ids=["comment", "last-line"])
+def test_text_stream_decode_error(tmp_path, data, message):
+    # A text stream decodes in its read(); its error is the one bytes and
+    # binary streams give.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+        for source in (data, binary, text):
+            with pytest.raises(GridFormatError) as info:
+                parse_grid(source)
+            assert str(info.value) == message
+
+
 def test_triangle_geometry():
     grid = derive_geometry(parse_grid(TRIANGLE))
     assert grid.centroids[0] == pytest.approx((1 / 3, 1 / 3), abs=1e-15)

@@ -1,5 +1,7 @@
 """Property tests of the grid core on small random grids."""
 
+import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,13 @@ from gridgauge import (
     parse_grid,
 )
 from gridgauge import lsq
-from gridgauge.grid import _parse_bulk, _parse_lines, _polygon_centroid_area
+from gridgauge.grid import (
+    _HYPOT_BLOCK,
+    _hypot,
+    _parse_bulk,
+    _parse_lines,
+    _polygon_centroid_area,
+)
 from tests.test_lsq import scalar_table
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
@@ -29,6 +37,17 @@ specs = st.builds(
     kind=st.just("tri_irregular"),
     nx=st.integers(2, 7),
     ny=st.integers(2, 7),
+    perturb=st.floats(0.0, 0.45),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+# All four generator kinds.
+all_kinds = st.builds(
+    GenSpec,
+    kind=st.sampled_from(["quad", "quad_ar", "tri_regular", "tri_irregular"]),
+    nx=st.integers(2, 7),
+    ny=st.integers(2, 7),
+    aspect_ratio=st.floats(0.25, 8.0),
     perturb=st.floats(0.0, 0.45),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -62,15 +81,7 @@ def test_write_read_write_fixpoint(spec):
 
 
 @SETTINGS
-@given(st.builds(
-    GenSpec,
-    kind=st.sampled_from(["quad", "quad_ar", "tri_regular", "tri_irregular"]),
-    nx=st.integers(2, 7),
-    ny=st.integers(2, 7),
-    aspect_ratio=st.floats(0.25, 8.0),
-    perturb=st.floats(0.0, 0.45),
-    seed=st.integers(0, 2**32 - 1),
-))
+@given(all_kinds)
 def test_bulk_parse_equals_line_parse(spec):
     text = grid_to_text(generate(spec))
     bulk = _parse_bulk(text, "")
@@ -115,6 +126,72 @@ def test_lsq_table_equals_scalar_oracle(spec):
                 got = sp.csr_matrix((coefficients, table.indices,
                                      table.indptr), shape=op.shape).toarray()
                 assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(all_kinds)
+def test_coefficient_table_equals_full_table(spec):
+    grid = generate(spec)
+    for mode in ("face", "vertex"):
+        for p in (0, 1):
+            with mock.patch.object(lsq, "BLOCK", 16):
+                full = lsq.lsq_table(grid, p, mode)
+                table = lsq.lsq_table(grid, p, mode, measures=False)
+            assert table.f is None and table.g is None
+            for key in ("degenerate", "indptr", "indices", "cx", "cy"):
+                got, want = getattr(table, key), getattr(full, key)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def math_hypot(x, y):
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())), float)
+
+
+def assert_hypot_exact(x, y):
+    got = _hypot(x, y)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), math_hypot(x, y).view(np.int64))
+
+
+# Every kind of float: zeros of both signs, subnormals, the ends of the
+# normal range, 2**1022 (from where _hypot hands lanes to math.hypot), inf
+# and NaN.
+any_float = st.one_of(
+    st.floats(),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, 2.0**1022,
+                     math.nextafter(2.0**1022, 0.0), sys.float_info.max,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(any_float, any_float), max_size=40))
+def test_hypot_equals_math_hypot(pairs):
+    x, y = np.array(pairs, float).reshape(-1, 2).T
+    assert_hypot_exact(x, y)
+
+
+def test_hypot_equals_math_hypot_on_sample():
+    # 10**6 pairs of magnitudes 2**-1080 (zero) to 2**1030 (inf), half of
+    # them within 2**60 of each other, where both squares count.
+    rng = np.random.default_rng(20261018)
+    n = 10**6
+    ex = rng.integers(-1080, 1031, n)
+    ey = np.where(rng.random(n) < 0.5, ex + rng.integers(-60, 61, n),
+                  rng.integers(-1080, 1031, n))
+    with np.errstate(over="ignore"):
+        x, y = (rng.choice([-1.0, 1.0], n) * np.ldexp(rng.random(n) + 0.5, e)
+                for e in (ex, ey))
+    assert_hypot_exact(x, y)
+    # Lengths around the block size.
+    for length in (0, 1, _HYPOT_BLOCK - 1, _HYPOT_BLOCK, _HYPOT_BLOCK + 1):
+        assert_hypot_exact(x[:length], y[:length])
+    # Integers, cast to float64 as math.hypot converts them.
+    for bound in (100, 2**62):
+        i, k = rng.integers(-bound, bound, (2, 1000))
+        assert_hypot_exact(i, k)
 
 
 @SETTINGS

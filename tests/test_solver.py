@@ -10,6 +10,7 @@ from gridgauge import (
     GenSpec,
     ProblemSpec,
     SingularStencilError,
+    analyze,
     apply_gradient,
     build_stencil,
     build_system,
@@ -434,3 +435,23 @@ def test_non_finite_residual_diverges(nan_call, monkeypatch, tmp_path, capsys):
     assert main(["solve", str(path)]) == 4
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary.startswith("diverged grid=quad_9x9 iterations=n/a ")
+
+
+class ExpCalled(Exception):
+    pass
+
+
+def test_solve_evaluates_no_bump(monkeypatch):
+    # The solver's table stops at the gradient coefficients; only the G
+    # measure evaluates the bump exp(-(x^2 + y^2)), with math.exp.
+    def exp(x):
+        raise ExpCalled
+
+    monkeypatch.setattr(math, "exp", exp)
+    for kind, mode in (("quad", "face"), ("tri_irregular", "vertex")):
+        grid = generate(GenSpec(kind=kind, nx=9, ny=9, seed=1))
+        with pytest.raises(ExpCalled):
+            analyze(grid, 1, mode)
+        report = defect_correction_solve(grid, ProblemSpec(tolerance=1e-6),
+                                         p=1, stencil_mode=mode)
+        assert report.converged
