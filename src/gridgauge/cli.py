@@ -13,12 +13,7 @@ import argparse
 import sys
 
 from . import measures, solver
-from .errors import (
-    DegenerateGridError,
-    DegenerateStencilError,
-    GridFormatError,
-    SingularStencilError,
-)
+from .errors import DegenerateGridError, GridFormatError
 from .grid import load_grid, save_grid
 from .gridgen import GenSpec, generate
 from .vtkio import write_vtk
@@ -195,8 +190,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"gridgauge: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateGridError, DegenerateStencilError,
-            SingularStencilError) as exc:
+    except DegenerateGridError as exc:
         print(f"gridgauge: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

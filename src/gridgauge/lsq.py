@@ -13,6 +13,10 @@ all cells at once, shared by the quality measures and the flow solver;
 :func:`build_system` is the per-stencil reference it is tested against.
 The solver needs only the coefficients and the degenerate flags, so it
 builds a coefficient-only table, whose F and G fields are None.
+
+Every per-cell sum over a stencil is a CSR matvec, which adds a row's
+entries in neighbor order from 0.0, as the scalar loops do; so the table and
+the solver's gradient operators are bit-equal to the per-stencil reference.
 """
 
 import math
@@ -193,17 +197,6 @@ def _adjacency(grid, mode):
     return a.indptr, a.indices
 
 
-def _slot_sum(slots, values):
-    """Per-cell sums of flat per-neighbor values, added one neighbor slot
-    at a time, as the scalar loops add them, over a zero-padded layout."""
-    padded = np.zeros(slots.shape)
-    padded[slots] = values
-    out = np.zeros(len(slots))
-    for column in padded.T:
-        out += column
-    return out
-
-
 def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     """Build the :class:`LsqTable` of a grid.
 
@@ -228,9 +221,12 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     for lo in range(0, n, BLOCK):
         rows = slice(lo, min(lo + BLOCK, n))
         flat = slice(indptr[rows.start], indptr[rows.stop])
-        length = np.diff(indptr[rows.start:rows.stop + 1])
+        start = indptr[rows.start:rows.stop + 1] - indptr[lo]
+        length = np.diff(start)
         row = np.repeat(np.arange(len(length)), length)
-        slots = np.arange(length.max(initial=0)) < length[:, None]
+        # rowsum @ v: per-cell sums of per-neighbor values v, in order.
+        rowsum = sp.csr_matrix((np.ones(len(row)), np.arange(len(row)), start),
+                               shape=(len(length), len(row)))
         nb = indices[flat]
         dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
         d = _hypot(dx, dy)
@@ -239,11 +235,10 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
             bx, by = w2 * dx, w2 * dy
-            m11, m12, m22 = (_slot_sum(slots, v)
-                             for v in (bx * dx, bx * dy, by * dy))
+            m11, m12, m22 = (rowsum @ v for v in (bx * dx, bx * dy, by * dy))
             det = m11 * m22 - m12 * m12
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
-            too_close = np.bincount(row[d < tol], minlength=len(length))
+            too_close = rowsum @ (d < tol).astype(float)
             bad = ((length < 2) | (too_close > 0)
                    | ~(det > SINGULARITY_EPS * fro2)
                    | (det < sys.float_info.min))
@@ -259,8 +254,8 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                 x, y = dx / smax[row], dy / smax[row]
                 bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
                                    float, len(x))
-                gx, gy = (_slot_sum(slots, c * (bump - 1.0)) for c in (cx, cy))
-                s = _slot_sum(slots, w2 * d)
+                gx, gy = (rowsum @ (c * (bump - 1.0)) for c in (cx, cy))
+                s = rowsum @ (w2 * d)
                 table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
                 table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
         table.degenerate[rows] = bad

@@ -10,12 +10,10 @@ Two measures are computed from each cell's least-squares gradient stencil:
   symmetric stencils).
 
 ``analyze`` takes both for every cell from the LSQ table and aggregates
-min/max/avg over the non-degenerate cells. The GRIDGAUGE_THREADS environment
-variable is validated but has no effect.
+min/max/avg over the non-degenerate cells.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +82,6 @@ def g_measure(stencil, system):
     return smax * math.hypot(gx, gy)
 
 
-def _check_threads_env():
-    """Reject a non-integer GRIDGAUGE_THREADS. The value is otherwise unused:
-    the sweep runs in one thread, as threads gain nothing on it (GIL)."""
-    env = os.environ.get("GRIDGAUGE_THREADS", "").strip()
-    try:
-        int(env or "0")
-    except ValueError:
-        raise ValueError(
-            f"GRIDGAUGE_THREADS must be an integer, got {env!r}"
-        ) from None
-
-
 def analyze(grid, p=0, stencil_mode="face"):
     """Evaluate F and G for every cell and aggregate.
 
@@ -110,7 +96,6 @@ def analyze(grid, p=0, stencil_mode="face"):
     n = grid.n_cells
     if n == 0:
         raise DegenerateGridError("grid has no cells")
-    _check_threads_env()
     table = lsq_table(grid, p, stencil_mode)
     n_bad = check_stencils(table.degenerate, stencil_mode)
     f_values, g_values, degenerate = table.f, table.g, table.degenerate

@@ -135,9 +135,9 @@ class _Advection:
         if first_order:
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
-            # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u). The
-            # matvec adds each row's entries in order, as the scalar kernel
-            # does; the subtraction drops zeros, so degenerate rows are empty.
+            # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u); their
+            # row sums follow the order rule of the lsq module docstring. The
+            # subtraction drops zeros, so degenerate rows are empty.
             table = lsq_table(grid, p, stencil_mode, measures=False)
             self.degenerate = table.degenerate
             ops = [sp.csr_matrix((c, table.indices, table.indptr), shape=(n, n))

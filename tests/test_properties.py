@@ -210,6 +210,15 @@ def test_cell_renumbering_equivariance(spec, rnd):
     new_label[order] = np.arange(grid.n_cells)
     assert face_set(renumbered, range(grid.n_cells)) == face_set(
         grid, new_label.tolist())
+    # The measures permute too, up to roundoff: each cell's sums add its
+    # neighbors in ascending cell number, which the renumbering reorders.
+    for stencil_mode in ("face", "vertex"):
+        for p in (0, 1):
+            a = lsq.lsq_table(grid, p, stencil_mode)
+            b = lsq.lsq_table(renumbered, p, stencil_mode)
+            assert np.array_equal(b.degenerate, a.degenerate[order])
+            np.testing.assert_allclose(b.f, a.f[order], rtol=1e-12)
+            np.testing.assert_allclose(b.g, a.g[order], rtol=0, atol=1e-12)
 
 
 @SETTINGS
