@@ -10,25 +10,19 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/malformed input,
 """
 
 import argparse
+import contextlib
 import sys
 
 from . import measures, solver
 from .errors import DegenerateGridError, GridFormatError
 from .grid import load_grid, save_grid
-from .gridgen import GenSpec, generate
+from .gridgen import KINDS, GenSpec, generate
 from .vtkio import write_vtk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
-
-_KIND_FLAGS = {
-    "quad": "quad",
-    "quad-ar": "quad_ar",
-    "tri-regular": "tri_regular",
-    "tri-irregular": "tri_irregular",
-}
 
 
 def _add_measure_flags(p):
@@ -47,7 +41,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a grid file")
-    gen.add_argument("--kind", choices=sorted(_KIND_FLAGS), required=True)
+    gen.set_defaults(run=_cmd_gen)
+    gen.add_argument("--kind", required=True,
+                     choices=sorted(k.replace("_", "-") for k in KINDS))
     gen.add_argument("--nx", type=int, required=True)
     gen.add_argument("--ny", type=int, required=True)
     gen.add_argument("--ar", type=float, default=4.0,
@@ -58,6 +54,7 @@ def _build_parser():
     gen.add_argument("-o", "--output", required=True)
 
     an = sub.add_parser("analyze", help="compute F/G measures of a grid")
+    an.set_defaults(run=_cmd_analyze)
     an.add_argument("grid")
     _add_measure_flags(an)
     an.add_argument("--vtk", help="also write per-cell fields to a VTK file")
@@ -65,12 +62,14 @@ def _build_parser():
                                            "instead of stdout")
 
     rank = sub.add_parser("rank", help="order grids by a measure statistic")
+    rank.set_defaults(run=_cmd_rank)
     rank.add_argument("grids", nargs="+")
     rank.add_argument("--measure", choices=("f", "g"), default="g")
     rank.add_argument("--stat", choices=("min", "max", "avg"), default="avg")
     _add_measure_flags(rank)
 
     so = sub.add_parser("solve", help="run the implicit advection solver")
+    so.set_defaults(run=_cmd_solve)
     so.add_argument("grid")
     _add_measure_flags(so)
     so.add_argument("--theta", type=float, default=30.0,
@@ -85,9 +84,16 @@ def _build_parser():
     return parser
 
 
+def _output(path):
+    """The file at ``path`` for writing, or stdout when there is none."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_gen(args):
     spec = GenSpec(
-        kind=_KIND_FLAGS[args.kind],
+        kind=args.kind.replace("-", "_"),
         nx=args.nx,
         ny=args.ny,
         aspect_ratio=args.ar,
@@ -102,12 +108,8 @@ def _cmd_gen(args):
 def _cmd_analyze(args):
     grid = load_grid(args.grid)
     report = measures.analyze(grid, p=args.p, stencil_mode=args.stencil)
-    text = f"{measures.CSV_HEADER}\n{report.csv_row()}\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.output) as fh:
+        fh.write(f"{measures.CSV_HEADER}\n{report.csv_row()}\n")
     if args.vtk:
         write_vtk(
             args.vtk,
@@ -121,9 +123,7 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _cmd_rank(args, parser):
-    if len(args.grids) < 2:
-        parser.error("rank needs at least two grid files")
+def _cmd_rank(args):
     entries = []
     for path in args.grids:
         grid = load_grid(path)
@@ -150,20 +150,11 @@ def _cmd_solve(args):
     report = solver.defect_correction_solve(
         grid, spec, p=args.p, stencil_mode=args.stencil
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            report.write_history_csv(fh)
-    else:
-        report.write_history_csv(sys.stdout)
-    if report.converged:
-        status = "converged"
-    elif report.diverged:
-        status = "diverged"
-    else:
-        status = "not-converged"
+    with _output(args.output) as fh:
+        report.write_history_csv(fh)
     iters = report.iterations_to_tol
     sys.stdout.write(
-        f"{status} grid={grid.name} iterations="
+        f"{report.status} grid={grid.name} iterations="
         f"{iters if iters is not None else 'n/a'} "
         f"work_units={report.work_units:.17g} "
         f"final_residual={report.residual_history[-1]:.17g}\n"
@@ -174,20 +165,11 @@ def _cmd_solve(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "rank" and len(args.grids) < 2:
+        parser.error("rank needs at least two grid files")
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "rank":
-            return _cmd_rank(args, parser)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        parser.error(f"unknown command {args.command!r}")
-    except GridFormatError as exc:
-        print(f"gridgauge: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+        return args.run(args)
+    except (GridFormatError, OSError) as exc:
         print(f"gridgauge: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateGridError as exc:

@@ -24,4 +24,4 @@ class SingularStencilError(GridGaugeError):
 
 
 class DegenerateGridError(GridGaugeError):
-    """More than half of the cells have unusable gradient stencils."""
+    """No cells, or more than half of them with unusable gradient stencils."""

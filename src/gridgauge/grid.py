@@ -81,8 +81,9 @@ class Grid:
 
     ``cell_nodes`` is the (n, 4) node table, padded with -1 after each cell's
     ``cell_nverts`` (3 or 4) vertices. :func:`derive_geometry` fills
-    ``centroids`` (n, 2), ``areas`` and ``face_arrays``, and raises
-    :class:`GridFormatError` for a grid it cannot derive them for.
+    ``centroids`` (n, 2), ``areas``, ``face_arrays`` and ``bbox_diagonal``
+    (0.0 without nodes), and raises :class:`GridFormatError` for a grid it
+    cannot derive them for.
     """
 
     name: str
@@ -92,9 +93,9 @@ class Grid:
     centroids: np.ndarray = field(init=False)
     areas: np.ndarray = field(init=False)
     face_arrays: FaceArrays = field(init=False)
+    bbox_diagonal: float = field(init=False)
     _face_adj: list | None = field(default=None, repr=False, compare=False)
     _vertex_adj: list | None = field(default=None, repr=False, compare=False)
-    _bbox_diag: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         derive_geometry(self)
@@ -112,13 +113,6 @@ class Grid:
         lo = self.nodes.min(axis=0)
         hi = self.nodes.max(axis=0)
         return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-
-    @property
-    def bbox_diagonal(self):
-        if self._bbox_diag is None:
-            x0, y0, x1, y1 = self.bbox
-            self._bbox_diag = math.hypot(x1 - x0, y1 - y0)
-        return self._bbox_diag
 
 
 def _hypot(x, y):
@@ -526,7 +520,7 @@ def save_grid(grid, path):
 
 
 def derive_geometry(grid):
-    """Fill centroids, areas and the face arrays; returns the same grid.
+    """Fill centroids, areas, face_arrays and bbox_diagonal; returns the grid.
     Every :class:`Grid` calls it when it is built.
 
     Faces are discovered in deterministic order (cells in index order, edges
@@ -624,6 +618,8 @@ def derive_geometry(grid):
         midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
                                   (y[na] + y[nb]) / 2.0]),
     )
+    x0, y0, x1, y1 = grid.bbox if len(nodes) else (0.0,) * 4
+    grid.bbox_diagonal = math.hypot(x1 - x0, y1 - y0)
     grid._face_adj = grid._vertex_adj = None
     return grid
 

@@ -21,6 +21,7 @@ simple, so one of the two diagonals is always valid. Identical specs
 therefore yield bit-identical grids.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,10 @@ class GenSpec:
             raise ValueError(f"need nx >= 2 and ny >= 2, got {self.nx}x{self.ny}")
         if not 0.0 <= self.perturb < 0.5:
             raise ValueError(f"perturb must be in [0, 0.5), got {self.perturb}")
-        if self.aspect_ratio <= 0.0:
-            raise ValueError(f"aspect_ratio must be positive, got {self.aspect_ratio}")
+        ar = self.aspect_ratio
+        if not (0.0 < ar < math.inf and 1.0 / ar < math.inf):
+            raise ValueError("aspect_ratio and 1/aspect_ratio must be "
+                             f"positive and finite, got {ar}")
 
     @property
     def grid_name(self):

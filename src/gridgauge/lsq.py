@@ -161,9 +161,11 @@ class LsqTable:
 
 def check_stencils(degenerate, stencil_mode):
     """Number of degenerate cells, given an :class:`LsqTable`'s
-    ``degenerate`` flags; raises :class:`DegenerateGridError` when they are
-    more than half of all cells."""
+    ``degenerate`` flags; raises :class:`DegenerateGridError` when there are
+    no cells, or when they are more than half of all cells."""
     n, n_bad = len(degenerate), int(degenerate.sum())
+    if n == 0:
+        raise DegenerateGridError("grid has no cells")
     if n_bad * 2 > n:
         raise DegenerateGridError(
             f"{n_bad} of {n} cells have degenerate stencils "
@@ -213,8 +215,7 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     indptr, indices = _adjacency(grid, stencil_mode)
     n, nnz = grid.n_cells, len(indices)
     xc, yc = grid.centroids.T
-    # A grid without cells may have no nodes, hence no bounding box.
-    tol = DEGENERACY_RTOL * grid.bbox_diagonal if n else 0.0
+    tol = DEGENERACY_RTOL * grid.bbox_diagonal
     fg = (np.empty(n), np.empty(n)) if measures else (None, None)
     table = LsqTable(np.empty(n, dtype=bool), *fg,
                      indptr, indices, np.empty(nnz), np.empty(nnz))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGridError
 from .lsq import apply_gradient, check_stencils, lsq_table
 
 CSV_HEADER = (
@@ -91,11 +90,8 @@ def analyze(grid, p=0, stencil_mode="face"):
     Raises
     ------
     DegenerateGridError
-        More than half of the cells are degenerate.
+        The grid has no cells, or more than half of them are degenerate.
     """
-    n = grid.n_cells
-    if n == 0:
-        raise DegenerateGridError("grid has no cells")
     table = lsq_table(grid, p, stencil_mode)
     n_bad = check_stencils(table.degenerate, stencil_mode)
     f_values, g_values, degenerate = table.f, table.g, table.degenerate
@@ -104,7 +100,7 @@ def analyze(grid, p=0, stencil_mode="face"):
     good_g = g_values[~degenerate]
     return MeasureReport(
         grid_name=grid.name,
-        n_cells=n,
+        n_cells=grid.n_cells,
         p=p,
         stencil_mode=stencil_mode,
         f_values=f_values,

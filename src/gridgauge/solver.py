@@ -60,21 +60,40 @@ class ProblemSpec:
     first_order: bool = False
 
     def validate(self):
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.max_outer < 1 or self.max_sweeps < 1:
             raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
 class SolveReport:
+    """Why the solve stopped (``status``: "converged", "diverged" or
+    "not-converged"), its history and its final state."""
+
+    status: str
     residual_history: list
     work_history: list
-    iterations_to_tol: int | None
-    work_units: float
-    converged: bool
-    diverged: bool
     solution: np.ndarray
+
+    @property
+    def converged(self):
+        return self.status == "converged"
+
+    @property
+    def diverged(self):
+        return self.status == "diverged"
+
+    @property
+    def iterations_to_tol(self):
+        return len(self.residual_history) - 1 if self.converged else None
+
+    @property
+    def work_units(self):
+        return self.work_history[-1]
 
     def write_history_csv(self, stream):
         stream.write("iter,residual_norm,work_units\n")
@@ -131,8 +150,8 @@ class _Advection:
 
         # The stencils' degenerate flags, for the solve's check; not the
         # whole table, which would stay alive through the solve.
-        self.degenerate = None
         if first_order:
+            self.degenerate = np.zeros(n, dtype=bool)
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
             # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u); their
@@ -172,17 +191,16 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     """Drive the second-order residual to spec.tolerance (relative L1).
 
     Outer loop: evaluate R(u); stop on convergence; otherwise relax
-    J du = -R with symmetric sweeps and update u. The returned report
-    carries the normalized residual history (entry 0 is 1) and cumulative
-    work units per entry. A residual norm above DIVERGENCE_FACTOR times the
-    initial one, or a non-finite one, stops the solve as diverged.
+    J du = -R with symmetric sweeps and update u. The report carries the
+    stop reason, the normalized residual history (entry 0 is 1) and the
+    cumulative work units per entry. A residual norm above DIVERGENCE_FACTOR
+    times the initial one, or a non-finite one, stops the solve as diverged.
     """
     spec.validate()
 
     op = _Advection(grid, spec.theta, p, stencil_mode,
                     first_order=spec.first_order)
-    if op.degenerate is not None:
-        check_stencils(op.degenerate, stencil_mode)
+    check_stencils(op.degenerate, stencil_mode)
 
     n = grid.n_cells
     u = np.zeros(n)
@@ -193,9 +211,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     work_history = [work]
 
     if r0 == 0.0:
-        return SolveReport(history, work_history, 0, work, True, False, u)
+        return SolveReport("converged", history, work_history, u)
     if not math.isfinite(r0):
-        return SolveReport(history, work_history, None, work, False, True, u)
+        return SolveReport("diverged", history, work_history, u)
 
     jac = op.jac
     lower = spla.splu(sp.tril(jac, format="csc"),
@@ -203,10 +221,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     upper = spla.splu(sp.triu(jac, format="csc"),
                       permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
-    converged = False
-    diverged = False
-    iterations = None
-    for it in range(1, spec.max_outer + 1):
+    status = "not-converged"
+    for _ in range(spec.max_outer):
         b = -res
         bnorm = float(np.abs(b).sum())
         delta = np.zeros(n)
@@ -227,19 +243,10 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         history.append(rnorm / r0)
         work_history.append(work)
         if rnorm / r0 <= spec.tolerance:
-            converged = True
-            iterations = it
+            status = "converged"
             break
         if not math.isfinite(rnorm) or rnorm > DIVERGENCE_FACTOR * r0:
-            diverged = True
+            status = "diverged"
             break
 
-    return SolveReport(
-        residual_history=history,
-        work_history=work_history,
-        iterations_to_tol=iterations,
-        work_units=work,
-        converged=converged,
-        diverged=diverged,
-        solution=u,
-    )
+    return SolveReport(status, history, work_history, u)

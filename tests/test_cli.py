@@ -161,6 +161,17 @@ def test_analyze_degenerate_grid_numerical_exit(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("command",
+                         ["analyze", "solve", "solve --first-order"])
+@pytest.mark.parametrize("text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n"],
+                         ids=["no-nodes", "three-nodes"])
+def test_grid_without_cells_numerical_exit(tmp_path, capsys, text, command):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out, err) == (4, "", "gridgauge: grid has no cells\n")
+
+
 def scaled_text(grid, scale):
     """Grid file text of ``grid`` with every coordinate scaled."""
     return (f"{grid.n_nodes} {grid.n_cells}\n"
@@ -353,6 +364,31 @@ def test_solve_bad_tolerance(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--tol", "-1")
     assert code == 2
     assert "tolerance" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, name", [
+    ("solve --tol nan", "tolerance"),
+    ("solve --tol inf", "tolerance"),
+    ("solve --theta nan", "theta"),
+    ("solve --theta inf", "theta"),
+    ("gen --kind quad-ar --ar nan", "aspect_ratio"),
+    ("gen --kind quad-ar --ar inf", "aspect_ratio"),
+    ("gen --kind quad-ar --ar 1e-320", "aspect_ratio"),
+])
+def test_non_finite_flag_usage_error(tmp_path, capsys, args, name):
+    # Each value is rejected by name before any work (or NumPy warning).
+    grid = tmp_path / "g.txt"
+    main(["gen", "--kind", "quad", "--nx", "5", "--ny", "5", "-o", str(grid)])
+    written = tmp_path / "out.txt"
+    command, *flags = args.split()
+    rest = ([str(grid)] if command == "solve"
+            else ["--nx", "5", "--ny", "5", "-o", str(written)])
+    code, out, err = run(capsys, command, *rest, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gridgauge: {name} ")
+    assert err.endswith(f"got {flags[-1]}\n")
+    assert not written.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--tol", "-1"]])

@@ -177,6 +177,18 @@ def test_scaling_laws(spec, p):
     _compare_reports(a, b, 1e-10, 1e-12, f_scale=1.0 / lam)
 
 
+def test_rederived_geometry_rescales_stencil_tolerance():
+    # Analyze, move the nodes in place and derive the geometry again: the
+    # stencil tolerance must follow the new nodes, as on a new grid.
+    grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
+    analyze(grid)
+    fresh = analyze(replace_nodes(grid, grid.nodes * 1e-12))
+    grid.nodes *= 1e-12
+    rederived = analyze(derive_geometry(grid))
+    assert rederived.degenerate_count == fresh.degenerate_count == 3
+    assert rederived.csv_row() == fresh.csv_row()
+
+
 def test_grid_ordering_quad_below_irregular():
     quad = analyze(generate(GenSpec(kind="quad", nx=17, ny=17)))
     irr = analyze(

@@ -271,6 +271,7 @@ def test_first_order_newton_property():
 def test_quad33_regression_baseline():
     grid = generate(GenSpec(kind="quad", nx=33, ny=33))
     report = defect_correction_solve(grid, ProblemSpec(theta=30.0))
+    assert report.status == "converged"
     assert report.converged
     assert report.iterations_to_tol == QUAD33_BASELINE_ITERS
     assert report.residual_history[0] == 1.0
@@ -404,6 +405,7 @@ def test_problem_spec_validation():
 def test_max_iterations_cap():
     grid = generate(GenSpec(kind="quad", nx=17, ny=17))
     report = defect_correction_solve(grid, ProblemSpec(theta=30.0, max_outer=2))
+    assert report.status == "not-converged"
     assert not report.converged
     assert not report.diverged
     assert report.iterations_to_tol is None
@@ -425,6 +427,7 @@ def test_non_finite_residual_diverges(nan_call, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(solver._Advection, "residual", residual)
     grid = generate(GenSpec(kind="quad", nx=9, ny=9))
     report = defect_correction_solve(grid, ProblemSpec())
+    assert report.status == "diverged"
     assert report.diverged and not report.converged
     assert len(report.residual_history) == nan_call
     assert len(calls) == nan_call
