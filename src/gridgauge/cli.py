@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/malformed input,
 
 import argparse
 import contextlib
+import re
 import sys
 
 from . import measures, solver
@@ -25,6 +26,17 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number as a value, as in
+    ``--theta -1e3`` or ``--theta -inf``. argparse's own pattern matches only
+    forms like -5 and -.5, and takes the others for unknown options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+
 def _add_measure_flags(p):
     p.add_argument("--p", type=int, choices=(0, 1), default=0,
                    help="inverse-distance weight exponent (default 0)")
@@ -33,7 +45,7 @@ def _add_measure_flags(p):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridgauge",
         description="Grid-quality measures and a model implicit solver "
                     "for 2D unstructured grids.",

@@ -14,9 +14,11 @@ all cells at once, shared by the quality measures and the flow solver;
 The solver needs only the coefficients and the degenerate flags, so it
 builds a coefficient-only table, whose F and G fields are None.
 
-Every per-cell sum over a stencil is a CSR matvec, which adds a row's
-entries in neighbor order from 0.0, as the scalar loops do; so the table and
-the solver's gradient operators are bit-equal to the per-stencil reference.
+Every per-cell sum over a stencil is a ``np.bincount`` over the cells' rows
+of neighbors, which adds a row's values in neighbor order from +0.0, as the
+scalar loops do and as the CSR matvecs of the solver's gradient operators
+do; so the table and those operators are bit-equal to the per-stencil
+reference. The module uses NumPy alone.
 """
 
 import math
@@ -24,7 +26,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateGridError, SingularStencilError
 from .grid import DEGENERACY_RTOL, _hypot
@@ -176,27 +177,54 @@ def check_stencils(degenerate, stencil_mode):
 
 def _adjacency(grid, mode):
     """Sorted neighbor lists of all cells as CSR (indptr, indices): cells
-    sharing an edge, or for mode="vertex" a node (C C^T less its diagonal,
-    C the cell-node incidence)."""
+    sharing an edge, or for mode="vertex" a node. Vertex pairs are made from
+    the node-to-cell incidence a block of BLOCK cells at a time, which bounds
+    their temporary arrays."""
     n = grid.n_cells
     if mode == "face":
         fa = grid.face_arrays
         inner = fa.neighbor != -1
-        a = sp.csr_matrix((np.ones(inner.sum(), np.int8),
-                           (fa.owner[inner], fa.neighbor[inner])), shape=(n, n))
-        a = a + a.T
+        own, nb = fa.owner[inner], fa.neighbor[inner]
+        blocks = [(0, n, np.concatenate([own * n + nb, nb * n + own]))]
     elif mode == "vertex":
-        verts = grid.cell_nodes[grid.cell_nodes >= 0]
-        a = sp.csr_matrix((np.ones(len(verts), np.int8), verts,
-                           np.concatenate([[0], np.cumsum(grid.cell_nverts)])),
-                          shape=(n, grid.n_nodes))
-        a = a @ a.T
-        a.setdiag(0)
-        a.eliminate_zeros()
+        blocks = _vertex_pairs(grid)
     else:
         raise ValueError(f"unknown stencil mode {mode!r}")
-    a.sort_indices()
-    return a.indptr, a.indices
+    # Half the memory of np.intp on any grid that fits in memory.
+    index_type = np.int32 if n < 2**31 else np.intp
+    counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, index_type)]
+    for lo, hi, key in blocks:
+        # Pairs (row, col) as keys row * n + col, sorted without repeats
+        # (np.unique is several times slower), less a cell's pair with itself.
+        key = np.sort(key)
+        row, col = key // n, key % n
+        keep = (np.diff(key, prepend=-1) > 0) & (row != col)
+        counts.append(np.bincount(row[keep] - lo, minlength=hi - lo))
+        indices.append(col[keep].astype(index_type))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return indptr, np.concatenate(indices)
+
+
+def _vertex_pairs(grid):
+    """(lo, hi, keys) per block of cells lo..hi-1: row * n + col for every
+    cell row of the block and cell col that share a node, with repeats."""
+    n = grid.n_cells
+    verts = grid.cell_nodes[grid.cell_nodes >= 0]
+    cells = np.repeat(np.arange(n), grid.cell_nverts)
+    cell_ptr = np.concatenate([[0], np.cumsum(grid.cell_nverts)])
+    # The cells at each node, in CSR form over the nodes.
+    node_cells = cells[np.argsort(verts, kind="stable")]
+    node_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(verts, minlength=grid.n_nodes))])
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        inc = slice(cell_ptr[lo], cell_ptr[hi])
+        nodes = verts[inc]
+        size = node_ptr[nodes + 1] - node_ptr[nodes]
+        # Position k of the run for node v reads node_cells[node_ptr[v] + k].
+        at = np.repeat(node_ptr[nodes] - (np.cumsum(size) - size), size)
+        at += np.arange(len(at))
+        yield lo, hi, np.repeat(cells[inc] * n, size) + node_cells[at]
 
 
 def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
@@ -222,12 +250,13 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     for lo in range(0, n, BLOCK):
         rows = slice(lo, min(lo + BLOCK, n))
         flat = slice(indptr[rows.start], indptr[rows.stop])
-        start = indptr[rows.start:rows.stop + 1] - indptr[lo]
-        length = np.diff(start)
+        length = np.diff(indptr[rows.start:rows.stop + 1])
         row = np.repeat(np.arange(len(length)), length)
-        # rowsum @ v: per-cell sums of per-neighbor values v, in order.
-        rowsum = sp.csr_matrix((np.ones(len(row)), np.arange(len(row)), start),
-                               shape=(len(length), len(row)))
+
+        def rowsum(v):
+            """Per-cell sums of per-neighbor values v, in order from +0.0."""
+            return np.bincount(row, weights=v, minlength=len(length))
+
         nb = indices[flat]
         dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
         d = _hypot(dx, dy)
@@ -236,10 +265,10 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
             bx, by = w2 * dx, w2 * dy
-            m11, m12, m22 = (rowsum @ v for v in (bx * dx, bx * dy, by * dy))
+            m11, m12, m22 = (rowsum(v) for v in (bx * dx, bx * dy, by * dy))
             det = m11 * m22 - m12 * m12
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
-            too_close = rowsum @ (d < tol).astype(float)
+            too_close = rowsum(d < tol)
             bad = ((length < 2) | (too_close > 0)
                    | ~(det > SINGULARITY_EPS * fro2)
                    | (det < sys.float_info.min))
@@ -255,8 +284,8 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                 x, y = dx / smax[row], dy / smax[row]
                 bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
                                    float, len(x))
-                gx, gy = (rowsum @ (c * (bump - 1.0)) for c in (cx, cy))
-                s = rowsum @ (w2 * d)
+                gx, gy = (rowsum(c * (bump - 1.0)) for c in (cx, cy))
+                s = rowsum(w2 * d)
                 table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
                 table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
         table.degenerate[rows] = bad

@@ -22,14 +22,15 @@ inner residual drops tenfold or the sweep cap is hit.
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
 one residual evaluation.
+
+SciPy is imported by the functions that use it, not with the module, so that
+importing gridgauge loads NumPy alone and only a solve pays for SciPy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lsq import check_stencils, lsq_table
 
@@ -106,6 +107,8 @@ class _Advection:
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
+        import scipy.sparse as sp
+
         n = grid.n_cells
         t = math.radians(theta)
         fa = grid.face_arrays
@@ -196,6 +199,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     cumulative work units per entry. A residual norm above DIVERGENCE_FACTOR
     times the initial one, or a non-finite one, stops the solve as diverged.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     spec.validate()
 
     op = _Advection(grid, spec.theta, p, stencil_mode,

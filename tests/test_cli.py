@@ -372,6 +372,7 @@ def test_solve_bad_tolerance(tmp_path, capsys):
     ("solve --tol inf", "tolerance"),
     ("solve --theta nan", "theta"),
     ("solve --theta inf", "theta"),
+    ("solve --theta -inf", "theta"),
     ("gen --kind quad-ar --ar nan", "aspect_ratio"),
     ("gen --kind quad-ar --ar inf", "aspect_ratio"),
     ("gen --kind quad-ar --ar 1e-320", "aspect_ratio"),
@@ -388,6 +389,22 @@ def test_non_finite_flag_usage_error(tmp_path, capsys, args, name):
     assert (code, out) == (2, "")
     assert err.startswith(f"gridgauge: {name} ")
     assert err.endswith(f"got {flags[-1]}\n")
+    assert not written.exists()
+
+
+def test_negative_flag_values_in_any_float_form(tmp_path, capsys):
+    # argparse alone reads -1e3 or -1e-3 after a flag as an unknown option.
+    grid = tmp_path / "g.txt"
+    main(["gen", "--kind", "quad", "--nx", "5", "--ny", "5", "-o", str(grid)])
+    code, out, err = run(capsys, "solve", str(grid), "--theta", "-1e3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("converged grid=quad_5x5 ")
+    written = tmp_path / "ar.txt"
+    code, out, err = run(capsys, "gen", "--kind", "quad-ar", "--nx", "5",
+                         "--ny", "5", "--ar", "-1e-3", "-o", str(written))
+    assert (code, out) == (2, "")
+    assert err == ("gridgauge: aspect_ratio and 1/aspect_ratio must be "
+                   "positive and finite, got -0.001\n")
     assert not written.exists()
 
 

@@ -1,0 +1,57 @@
+"""Which commands load SciPy: only ``solve`` does; ``gen``, ``analyze`` and
+``rank`` run on NumPy alone. Each check starts a fresh interpreter, since
+this one has loaded SciPy for other tests."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import gridgauge
+
+# Run with argv [package root, work directory, "1" to solve after the
+# other commands]; prints a JSON record last.
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import gridgauge
+from gridgauge import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+work = sys.argv[2]
+quad, irr = f"{work}/quad.txt", f"{work}/irr.txt"
+commands = [
+    ["gen", "--kind", "quad", "--nx", "9", "--ny", "9", "-o", quad],
+    ["gen", "--kind", "tri-irregular", "--nx", "9", "--ny", "9", "-o", irr],
+    ["analyze", irr, "--stencil", "vertex", "--vtk", f"{work}/irr.vtk"],
+    ["rank", quad, irr],
+]
+record = {"codes": [], "scipy": []}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        record["codes"].append(cli.main(argv))
+    record["scipy"] = scipy_modules()
+    if sys.argv[3] == "1":
+        record["solve"] = cli.main(["solve", irr, "--stencil", "vertex"])
+        record["scipy_after_solve"] = "scipy.sparse.linalg" in sys.modules
+print(json.dumps(record))
+"""
+
+
+def test_only_solve_loads_scipy(tmp_path):
+    with_scipy = importlib.util.find_spec("scipy") is not None
+    root = str(Path(gridgauge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, root, str(tmp_path),
+         "1" if with_scipy else "0"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["codes"] == [0, 0, 0, 0]
+    assert record["scipy"] == []
+    if with_scipy:
+        assert (record["solve"], record["scipy_after_solve"]) == (0, True)

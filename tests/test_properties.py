@@ -23,10 +23,12 @@ from gridgauge import (
 from gridgauge import lsq
 from gridgauge.grid import (
     _HYPOT_BLOCK,
+    _face_adjacency,
     _hypot,
     _parse_bulk,
     _parse_lines,
     _polygon_centroid_area,
+    _vertex_adjacency,
 )
 from tests.test_lsq import scalar_table
 
@@ -192,6 +194,26 @@ def test_hypot_equals_math_hypot_on_sample():
     for bound in (100, 2**62):
         i, k = rng.integers(-bound, bound, (2, 1000))
         assert_hypot_exact(i, k)
+
+
+@SETTINGS
+@given(all_kinds, st.randoms(use_true_random=False))
+def test_adjacency_equals_scalar_neighbor_lists(spec, rnd):
+    # Cells in random order, so that a cell's neighbors are not near it in
+    # number; blocks of 5 cells, so that the vertex pairs span several.
+    grid = generate(spec)
+    order = list(range(grid.n_cells))
+    rnd.shuffle(order)
+    grid = Grid(name=grid.name, nodes=grid.nodes,
+                cell_nodes=grid.cell_nodes[order],
+                cell_nverts=grid.cell_nverts[order])
+    for mode, scalar in (("face", _face_adjacency),
+                         ("vertex", _vertex_adjacency)):
+        with mock.patch.object(lsq, "BLOCK", 5):
+            indptr, indices = lsq._adjacency(grid, mode)
+        assert indptr[0] == 0
+        assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] \
+            == [sorted(set(nbs)) for nbs in scalar(grid)]
 
 
 @SETTINGS

@@ -211,6 +211,49 @@ def test_jacobian_golden_digest(kind, theta):
     assert digest.hexdigest() == JACOBIAN_GOLDEN[kind, theta]
 
 
+# (exit code, sha256 of solve's history CSV followed by its summary line) on
+# 17x17 grids (tri_irregular: perturb 0.3, seed 42) at theta 30 and the
+# default tolerance; tri_irregular with face stencils diverges.
+SOLVE_GOLDEN = {
+    ("quad", "face", 0): (0, "030ed878da39cf2a28a3d9cc022dc5b2"
+                             "22fe98875506894b92b37c52fa12e4f4"),
+    ("quad", "face", 1): (0, "030ed878da39cf2a28a3d9cc022dc5b2"
+                             "22fe98875506894b92b37c52fa12e4f4"),
+    ("quad", "vertex", 0): (0, "159035190e7b8b157016cfca24458735"
+                               "5250cab0d482e1765e0a781e7d080152"),
+    ("quad", "vertex", 1): (0, "df706e8ad28fbcd2ece9cddca250c2d6"
+                               "85949f9f0f7d0de4167ed5985c23109a"),
+    ("tri_irregular", "face", 0): (4, "26bd6fb7fbd1dbdadaa8c76329a5e91d"
+                                      "b9feec321fc21f424b5be2c304a03a01"),
+    ("tri_irregular", "face", 1): (4, "37064fff9c23f3711992c924a0de7f6f"
+                                      "a558624732027fd731fabf404c4788a4"),
+    ("tri_irregular", "vertex", 0): (0, "c08644b2c34d30d491b31108c3e75b2b"
+                                        "f47e775e20db9ab12ae8aaace582c5d5"),
+    ("tri_irregular", "vertex", 1): (0, "12e0f90332da74047a77c8d0a3749f68"
+                                        "459a1bf44e4942ddaee9b58cd0fa3314"),
+    ("tri_regular", "face", 0): (0, "807cbe30a4ca449ce0f2a3604bed5957"
+                                    "ae49c602f8c0c317450496060ff9737c"),
+    ("tri_regular", "face", 1): (0, "6cea381456456654c51ae8ebc527508a"
+                                    "87d5e4b67e194a0ce861549a372260b4"),
+    ("tri_regular", "vertex", 0): (0, "9f8e5ccb97c028f7ba9b1969a5b30a84"
+                                      "3e37d92b70331e644f013966de9dc4e2"),
+    ("tri_regular", "vertex", 1): (0, "43b7059d6283c5f09a422d991228fe65"
+                                      "abf63628df8ee0cb4e63d6c0e96ef31b"),
+}
+
+
+@pytest.mark.parametrize("kind, mode, p", sorted(SOLVE_GOLDEN))
+def test_solve_golden_digest(tmp_path, capsys, kind, mode, p):
+    grid, history = tmp_path / "g.txt", tmp_path / "history.csv"
+    save_grid(generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42)),
+              grid)
+    code = main(["solve", str(grid), "--stencil", mode, "--p", str(p),
+                 "--theta", "30", "-o", str(history)])
+    summary = capsys.readouterr().out
+    digest = hashlib.sha256(history.read_bytes() + summary.encode())
+    assert (code, digest.hexdigest()) == SOLVE_GOLDEN[kind, mode, p]
+
+
 def per_face_residual(grid, u, theta, p, mode, first_order):
     """The residual one face at a time: scalar-oracle gradients (zero on
     degenerate cells), midpoint states, the upwind flux with inflow data on
