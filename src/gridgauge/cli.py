@@ -5,8 +5,9 @@ CSV row, optional VTK export), ``rank`` (order several grids by one
 statistic), ``solve`` (run the implicit advection solver, residual history
 CSV).
 
-Exit codes: 0 success, 2 usage error, 3 unreadable/malformed input,
-4 numerical failure (degenerate grid, singular stencil, non-convergence).
+Exit codes: 0 success, 2 usage error (also ``solve`` without SciPy),
+3 unreadable/malformed input, 4 numerical failure (degenerate grid, singular
+stencil, non-convergence).
 """
 
 import argparse
@@ -151,6 +152,11 @@ def _cmd_rank(args):
 
 
 def _cmd_solve(args):
+    try:
+        import scipy.sparse.linalg  # noqa: F401  (the solver's sparse LU)
+    except ImportError as exc:
+        print(f"gridgauge: solve needs SciPy: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     grid = load_grid(args.grid)
     spec = solver.ProblemSpec(
         theta=args.theta,

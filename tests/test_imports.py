@@ -55,3 +55,32 @@ def test_only_solve_loads_scipy(tmp_path):
     assert record["scipy"] == []
     if with_scipy:
         assert (record["solve"], record["scipy_after_solve"]) == (0, True)
+
+
+# Blocks SciPy as a NumPy-only install lacks it; argv [package root, work
+# directory]. Prints the exit codes of solve, with and without
+# --first-order, after generating a grid.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+from gridgauge import cli
+
+grid = f"{sys.argv[2]}/quad.txt"
+codes = [cli.main(["gen", "--kind", "quad", "--nx", "5", "--ny", "5",
+                   "-o", grid])]
+for extra in ([], ["--first-order"]):
+    codes.append(cli.main(["solve", grid, *extra]))
+print(codes)
+"""
+
+
+def test_solve_without_scipy_is_a_usage_error(tmp_path):
+    root = str(Path(gridgauge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, root, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "[0, 2, 2]\n", proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("gridgauge: solve needs SciPy: ")
+               for line in lines)

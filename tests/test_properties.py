@@ -278,3 +278,36 @@ def test_node_renumbering_equivariance(spec, rnd):
     b = defect_correction_solve(renumbered, problem, stencil_mode="vertex")
     assert b.residual_history == a.residual_history
     assert b.work_history == a.work_history
+
+
+def moved(grid, nodes):
+    return Grid(name=grid.name, nodes=nodes, cell_nodes=grid.cell_nodes,
+                cell_nverts=grid.cell_nverts)
+
+
+@SETTINGS
+@given(all_kinds, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+       st.floats(0.0, 2 * math.pi), st.integers(-60, 60))
+def test_measures_invariant_under_motion_and_scaling(spec, tx, ty, angle, j):
+    """Rotation plus translation keeps F and G to within 1e-9 relative (G
+    also 1e-9 absolute, as it is 0 on symmetric stencils); the roundoff of
+    the moved coordinates is about 1e-12 relative at these sizes. Scaling
+    by 2^j is exact, so F * 2^j, G and the degenerate flags stay bit for
+    bit; |j| <= 60 keeps every normal-matrix determinant normal."""
+    grid = generate(spec)
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    motion = moved(grid, np.column_stack([c * x - s * y + tx,
+                                          s * x + c * y + ty]))
+    scaled = moved(grid, grid.nodes * 2.0 ** j)
+    for mode in ("face", "vertex"):
+        for p in (0, 1):
+            a = lsq.lsq_table(grid, p, mode)
+            b = lsq.lsq_table(motion, p, mode)
+            assert np.array_equal(b.degenerate, a.degenerate)
+            np.testing.assert_allclose(b.f, a.f, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(b.g, a.g, rtol=1e-9, atol=1e-9)
+            b = lsq.lsq_table(scaled, p, mode)
+            assert np.array_equal(b.degenerate, a.degenerate)
+            assert np.array_equal(b.f * 2.0 ** j, a.f, equal_nan=True)
+            assert np.array_equal(b.g, a.g, equal_nan=True)

@@ -1,0 +1,130 @@
+"""The VTK writer's array formatter against ``%``, value by value.
+
+``vtkio._format`` must return exactly the ``%.17g`` text of every float64:
+both sides of the fast range, every binary exponent, subnormals, signed
+zeros, infinities, nan, the neighbors of powers of ten and exact ties.
+"""
+
+import io
+from decimal import Decimal
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridgauge import GenSpec, generate, write_vtk
+from gridgauge.lsq import lsq_table
+from gridgauge.vtkio import _BLOCK, _format
+from tests.reference_vtk import percent_format, write_vtk_reference
+
+POINT_SUFFIXES = (" ", " 0\n")
+SCALAR_SUFFIXES = ("\n",)
+
+
+def assert_formats_like_percent(values, suffixes=SCALAR_SUFFIXES):
+    values = np.asarray(values, dtype=float)
+    if _format(values, suffixes) != percent_format(values, suffixes):
+        got = _format(values, SCALAR_SUFFIXES).split("\n")
+        want = percent_format(values, SCALAR_SUFFIXES).split("\n")
+        wrong = [(x, g, w) for x, g, w in zip(values.tolist(), got, want)
+                 if g != w]
+        raise AssertionError(f"formatted unlike % (value, got, want): "
+                             f"{wrong[:5]!r}")
+
+
+def ties(rng, per_exponent=400):
+    """Doubles whose exact decimal value has 18 significant digits, the last
+    a 5: halfway between two 17-digit numbers. Each is m 2^-j with m odd and
+    m 5^j in [1e17, 1e18), the only form such a double can take."""
+    out = []
+    for j in range(2, 26):
+        lo = -(-10 ** 17 // 5 ** j)
+        hi = min(2 ** 53, 10 ** 18 // 5 ** j)
+        m = rng.integers(lo, hi, per_exponent) | 1
+        m = m[m < hi]
+        out.append(m.astype(float) * 2.0 ** -j)
+    return np.concatenate(out)
+
+
+def powers_of_ten_neighbors():
+    """The double nearest 10^k and the three doubles on either side of it,
+    for k from -324 to 308."""
+    out = []
+    for k in range(-324, 309):
+        x = float(f"1e{k}")
+        for direction in (0.0, np.inf):
+            y = x
+            for _ in range(3):
+                y = np.nextafter(y, direction)
+                out.append(y)
+        out.append(x)
+    return np.array(out)
+
+
+def seeded_values():
+    """Over a million values from a fixed seed."""
+    rng = np.random.default_rng(20131)
+    bits = rng.integers(0, 2 ** 64, 400_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64)
+    mantissa = rng.random(300_000) + 0.5
+    scaled = mantissa * 10.0 ** rng.integers(-20, 21, mantissa.size)
+    dyadic = rng.integers(1, 2 ** 20, 100_000) * 2.0 ** rng.integers(
+        -40, 40, 100_000)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                         1e-4, 9.9999999999999991e-5, 1e16, 9999999999999998.0])
+    near = powers_of_ten_neighbors()
+    tie = ties(rng)
+    values = np.concatenate([
+        bits.view(np.float64), subnormal.view(np.float64),
+        -subnormal[:1000].view(np.float64), rng.random(150_000),
+        scaled, -scaled[:100_000], dyadic, -dyadic[:20_000],
+        near, -near, tie, -tie, specials, -specials,
+    ])
+    return values, tie
+
+
+def test_format_matches_percent_on_seeded_values():
+    values, tie = seeded_values()
+    assert values.size > 1_000_000
+    exponents = np.unique(np.frexp(values[np.isfinite(values)])[1])
+    assert exponents.min() <= -1073 and exponents.max() == 1024
+    assert all(len(Decimal(x).as_tuple().digits) == 18
+               for x in tie[::50].tolist())
+    assert_formats_like_percent(values)
+    assert_formats_like_percent(values[::10][:100_000], POINT_SUFFIXES)
+
+
+def test_format_block_boundaries():
+    """Sizes around the block length, each suffix pattern, and a block whose
+    values all fall outside the fast range."""
+    rng = np.random.default_rng(7)
+    for size in (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 2):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        assert_formats_like_percent(values)
+        assert_formats_like_percent(values[:size // 2 * 2], POINT_SUFFIXES)
+    assert_formats_like_percent(np.zeros(_BLOCK + 3))
+    assert_formats_like_percent(np.full(5, 1.96e-17))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), max_size=40),
+       st.booleans())
+def test_format_matches_percent_on_any_floats(values, points):
+    if points:
+        assert_formats_like_percent(values[:len(values) // 2 * 2],
+                                    POINT_SUFFIXES)
+    else:
+        assert_formats_like_percent(values)
+
+
+def test_write_vtk_equals_reference_writer():
+    for kind, mode, p in (("quad", "vertex", 1), ("tri_irregular", "face", 0)):
+        grid = generate(GenSpec(kind=kind, nx=33, ny=33, seed=3))
+        table = lsq_table(grid, p, mode)
+        fields = {"F_measure": table.f, "G_measure": table.g}
+        got, want = io.StringIO(), io.StringIO()
+        write_vtk(got, grid, fields, title="t")
+        write_vtk_reference(want, grid, fields, "t")
+        assert got.getvalue() == want.getvalue()
