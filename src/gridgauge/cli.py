@@ -147,7 +147,7 @@ def _cmd_rank(args):
     label = f"{args.measure.upper()}_{args.stat}"
     sys.stdout.write(f"rank,grid_name,{label}\n")
     for pos, (value, name) in enumerate(entries, start=1):
-        sys.stdout.write(f"{pos},{name},{value:.17g}\n")
+        sys.stdout.write(f"{pos},{measures.csv_field(name)},{value:.17g}\n")
     return EXIT_OK
 
 

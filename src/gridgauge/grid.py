@@ -1,4 +1,4 @@
-"""2D unstructured grid: data model, text I/O, geometry, and neighbor stencils.
+"""2D unstructured grid: data model, text I/O and geometry.
 
 Grid file format (the "gridgauge" format, UTF-8, whitespace separated)::
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStencilError, GridFormatError
+from .errors import GridFormatError
 
 # Distances below this fraction of the bounding-box diagonal make a
 # neighbor unusable for gradient reconstruction.
@@ -60,21 +60,6 @@ class FaceArrays:
 
 
 @dataclass
-class Stencil:
-    """Neighbor set of one cell with centroid offsets and distances."""
-
-    cell: int
-    neighbors: tuple
-    dx: tuple
-    dy: tuple
-    d: tuple
-
-    @property
-    def n(self):
-        return len(self.neighbors)
-
-
-@dataclass
 class Grid:
     """A grid and its geometry, derived when the grid is built; queries are
     pure.
@@ -94,8 +79,6 @@ class Grid:
     areas: np.ndarray = field(init=False)
     face_arrays: FaceArrays = field(init=False)
     bbox_diagonal: float = field(init=False)
-    _face_adj: list | None = field(default=None, repr=False, compare=False)
-    _vertex_adj: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         derive_geometry(self)
@@ -218,25 +201,6 @@ def _signed_area(pts):
         x1, y1 = pts[(i + 1) % n]
         a += x0 * y1 - x1 * y0
     return 0.5 * a
-
-
-def _polygon_centroid_area(pts):
-    """Exact area centroid via a signed triangle fan from the first vertex.
-
-    For triangles this is the vertex mean; for quads it is the area-weighted
-    mean of the two triangles split along the (v0, v2) diagonal. The scalar
-    reference that tests hold :func:`derive_geometry` to.
-    """
-    x0, y0 = pts[0]
-    cx = cy = area = 0.0
-    for i in range(1, len(pts) - 1):
-        x1, y1 = pts[i]
-        x2, y2 = pts[i + 1]
-        a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-        area += a
-        cx += a * (x0 + x1 + x2) / 3.0
-        cy += a * (y0 + y1 + y2) / 3.0
-    return (cx / area, cy / area), area
 
 
 def _comment_name(line, name):
@@ -532,8 +496,9 @@ def derive_geometry(grid):
     """
     nodes, cell_nodes, nverts = grid.nodes, grid.cell_nodes, grid.cell_nverts
     x, y = nodes[:, 0], nodes[:, 1]
-    # Triangle fan from vertex 0, added up in the order of
-    # _polygon_centroid_area; a quad's second triangle is (v0, v2, v3).
+    # Triangle fan from vertex 0, added up triangle by triangle as the
+    # scalar fan of tests/test_properties.py adds it; a quad's second
+    # triangle is (v0, v2, v3).
     x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
     cx = cy = area = np.zeros(len(nverts))
     underflow = np.zeros(len(nverts), dtype=bool)
@@ -620,7 +585,6 @@ def derive_geometry(grid):
     )
     x0, y0, x1, y1 = grid.bbox if len(nodes) else (0.0,) * 4
     grid.bbox_diagonal = math.hypot(x1 - x0, y1 - y0)
-    grid._face_adj = grid._vertex_adj = None
     return grid
 
 
@@ -632,87 +596,3 @@ def replace_nodes(grid, nodes, name=None):
         cell_nodes=grid.cell_nodes,
         cell_nverts=grid.cell_nverts,
     )
-
-
-def _face_adjacency(grid):
-    if grid._face_adj is None:
-        adj = [[] for _ in range(grid.n_cells)]
-        fa = grid.face_arrays
-        for owner, neighbor in zip(fa.owner.tolist(), fa.neighbor.tolist()):
-            if neighbor != -1:
-                adj[owner].append(neighbor)
-                adj[neighbor].append(owner)
-        grid._face_adj = adj
-    return grid._face_adj
-
-
-def _vertex_adjacency(grid):
-    if grid._vertex_adj is None:
-        cells = [row[:k] for row, k in zip(grid.cell_nodes.tolist(),
-                                           grid.cell_nverts.tolist())]
-        node_cells = [[] for _ in range(grid.n_nodes)]
-        for j, verts in enumerate(cells):
-            for v in verts:
-                node_cells[v].append(j)
-        adj = []
-        for j, verts in enumerate(cells):
-            seen = set()
-            for v in verts:
-                seen.update(node_cells[v])
-            seen.discard(j)
-            adj.append(sorted(seen))
-        grid._vertex_adj = adj
-    return grid._vertex_adj
-
-
-def build_stencil(grid, cell_index, mode="face"):
-    """Neighbor stencil of one cell, neighbors in ascending index order.
-
-    mode="face" takes edge-sharing cells, mode="vertex" all cells sharing at
-    least one node.
-
-    Raises
-    ------
-    DegenerateStencilError
-        Fewer than 2 neighbors, or a centroid distance below
-        ``DEGENERACY_RTOL`` times the bounding-box diagonal.
-    """
-    if mode == "face":
-        neighbors = sorted(set(_face_adjacency(grid)[cell_index]))
-    elif mode == "vertex":
-        neighbors = _vertex_adjacency(grid)[cell_index]
-    else:
-        raise ValueError(f"unknown stencil mode {mode!r}")
-
-    if len(neighbors) < 2:
-        raise DegenerateStencilError(
-            f"cell {cell_index}: only {len(neighbors)} neighbor(s) in "
-            f"{mode} mode"
-        )
-
-    xj, yj = grid.centroids[cell_index].tolist()
-    tol = DEGENERACY_RTOL * grid.bbox_diagonal
-    dx = []
-    dy = []
-    d = []
-    for k in neighbors:
-        xk, yk = grid.centroids[k].tolist()
-        ddx, ddy = xk - xj, yk - yj
-        dist = math.hypot(ddx, ddy)
-        if dist < tol:
-            raise DegenerateStencilError(
-                f"cells {cell_index} and {k}: centroid distance {dist} below "
-                f"degeneracy threshold {tol}"
-            )
-        dx.append(ddx)
-        dy.append(ddy)
-        d.append(dist)
-
-    return Stencil(
-        cell=cell_index,
-        neighbors=tuple(neighbors),
-        dx=tuple(dx),
-        dy=tuple(dy),
-        d=tuple(d),
-    )
-

@@ -10,7 +10,7 @@ with du_k = u_k - u_j. The system is solved once per cell for unit-impulse
 data, giving per-neighbor coefficients (cx_k, cy_k) so that the gradient is
 the dot product sum_k (cx_k, cy_k) du_k. :func:`lsq_table` builds them for
 all cells at once, shared by the quality measures and the flow solver;
-:func:`build_system` is the per-stencil reference it is tested against.
+:mod:`gridgauge.oracle` holds the per-cell reference it is tested against.
 The solver needs only the coefficients and the degenerate flags, so it
 builds a coefficient-only table, whose F and G fields are None.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGridError, SingularStencilError
+from .errors import DegenerateGridError
 from .grid import DEGENERACY_RTOL, _hypot
 
 # Relative determinant floor for the 2x2 normal matrix.
@@ -35,110 +35,6 @@ SINGULARITY_EPS = 1e-12
 # Cells per block of lsq_table: bounds its temporary arrays, which set the
 # peak memory of analyze on large grids.
 BLOCK = 1024
-
-
-@dataclass
-class LsqSystem:
-    """Per-cell normal matrix, weights, and gradient coefficients."""
-
-    p: int
-    weights: tuple
-    m11: float
-    m12: float
-    m22: float
-    cx: tuple
-    cy: tuple
-    condition: float
-
-    @property
-    def n(self):
-        return len(self.cx)
-
-    @property
-    def frobenius_norm(self):
-        """Frobenius norm of the full 2x2 matrix (off-diagonal counted twice)."""
-        return math.sqrt(
-            self.m11 * self.m11 + 2.0 * self.m12 * self.m12 + self.m22 * self.m22
-        )
-
-
-def build_system(stencil, p=0):
-    """Assemble and solve the normal system of a stencil.
-
-    p is the inverse-distance weight exponent, restricted to 0 (uniform
-    weights, the default) or 1.
-
-    Raises
-    ------
-    SingularStencilError
-        det(A^T A) is not above SINGULARITY_EPS * ||A^T A||_F^2, i.e. the
-        neighbor centroids are (numerically) collinear, or the normal
-        matrix overflows, or its determinant is subnormal.
-    """
-    if p not in (0, 1):
-        raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
-
-    dx, dy, d = stencil.dx, stencil.dy, stencil.d
-    if p == 0:
-        w2 = tuple(1.0 for _ in d)
-        weights = w2
-    else:
-        weights = tuple(1.0 / dk for dk in d)
-        w2 = tuple(wk * wk for wk in weights)
-
-    m11 = m12 = m22 = 0.0
-    for k in range(len(d)):
-        m11 += w2[k] * dx[k] * dx[k]
-        m12 += w2[k] * dx[k] * dy[k]
-        m22 += w2[k] * dy[k] * dy[k]
-
-    det = m11 * m22 - m12 * m12
-    fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
-    # Written so that a NaN det (from overflow) counts as singular, and so
-    # does a subnormal one (from underflow), which has lost its precision.
-    if not det > SINGULARITY_EPS * fro2 or det < sys.float_info.min:
-        raise SingularStencilError(
-            f"cell {stencil.cell}: normal matrix is singular "
-            f"(det={det:.3e}, ||A^T A||_F^2={fro2:.3e})"
-        )
-
-    cx = []
-    cy = []
-    for k in range(len(d)):
-        bx = w2[k] * dx[k]
-        by = w2[k] * dy[k]
-        cx.append((m22 * bx - m12 * by) / det)
-        cy.append((m11 * by - m12 * bx) / det)
-
-    # Eigenvalue ratio of the symmetric 2x2 normal matrix.
-    half_trace = 0.5 * (m11 + m22)
-    disc = math.sqrt(max(0.25 * (m11 - m22) ** 2 + m12 * m12, 0.0))
-    lo = half_trace - disc
-    condition = (half_trace + disc) / lo if lo > 0.0 else math.inf
-
-    return LsqSystem(
-        p=p,
-        weights=weights,
-        m11=m11,
-        m12=m12,
-        m22=m22,
-        cx=tuple(cx),
-        cy=tuple(cy),
-        condition=condition,
-    )
-
-
-def apply_gradient(system, du):
-    """Gradient (gx, gy) from per-neighbor value differences du."""
-    if len(du) != system.n:
-        raise ValueError(
-            f"expected {system.n} value differences, got {len(du)}"
-        )
-    gx = gy = 0.0
-    for k in range(system.n):
-        gx += system.cx[k] * du[k]
-        gy += system.cy[k] * du[k]
-    return (gx, gy)
 
 
 @dataclass
@@ -230,13 +126,13 @@ def _vertex_pairs(grid):
 def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     """Build the :class:`LsqTable` of a grid.
 
-    A cell is degenerate where :func:`~gridgauge.grid.build_stencil` or
-    :func:`build_system` would raise. Cells are taken in blocks of BLOCK,
-    and all arithmetic follows the scalar functions operation for operation,
-    so the table equals their results bit for bit. With ``measures=False``
-    the table stops at the coefficients and the degenerate flags, which is
-    all the solver uses: F and G are not computed, and ``f`` and ``g`` are
-    None.
+    A cell is degenerate where :func:`gridgauge.oracle.build_stencil` or
+    :func:`gridgauge.oracle.build_system` would raise. Cells are taken in
+    blocks of BLOCK, and all arithmetic follows those scalar functions
+    operation for operation, so the table equals their results bit for
+    bit. With ``measures=False`` the table stops at the coefficients and
+    the degenerate flags, which is all the solver uses: F and G are not
+    computed, and ``f`` and ``g`` are None.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")

@@ -13,17 +13,24 @@ Two measures are computed from each cell's least-squares gradient stencil:
 min/max/avg over the non-degenerate cells.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import apply_gradient, check_stencils, lsq_table
+from .lsq import check_stencils, lsq_table
 
 CSV_HEADER = (
     "grid_name,ncells,p,stencil_mode,"
     "F_min,F_max,F_avg,G_min,G_max,G_avg,degenerate_count"
 )
+
+
+def csv_field(text):
+    """``text`` as one CSV field: quoted as RFC 4180 quotes it, inner quotes
+    doubled, when it holds a comma, a quote, CR or LF; else unchanged."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @dataclass
@@ -47,38 +54,12 @@ class MeasureReport:
 
     def csv_row(self):
         return (
-            f"{self.grid_name},{self.n_cells},{self.p},{self.stencil_mode},"
+            f"{csv_field(self.grid_name)},{self.n_cells},{self.p},"
+            f"{self.stencil_mode},"
             f"{self.f_min:.17g},{self.f_max:.17g},{self.f_avg:.17g},"
             f"{self.g_min:.17g},{self.g_max:.17g},{self.g_avg:.17g},"
             f"{self.degenerate_count}"
         )
-
-
-def f_measure(stencil, system):
-    """Stencil quality ratio s / ||A^T A||_F, s = sum of w^2 * distance."""
-    s = 0.0
-    for k in range(len(stencil.d)):
-        wk = system.weights[k]
-        s += wk * wk * stencil.d[k]
-    return s / system.frobenius_norm
-
-
-def g_measure(stencil, system):
-    """Gradient magnitude of the unit bump in farthest-distance-normalized
-    offsets.
-
-    The cached coefficients are per physical length; multiplying the
-    gradient magnitude by s_max converts it to the normalized frame, which
-    makes G dimensionless and invariant under uniform scaling.
-    """
-    smax = max(stencil.d)
-    du = []
-    for k in range(len(stencil.d)):
-        xk = stencil.dx[k] / smax
-        yk = stencil.dy[k] / smax
-        du.append(math.exp(-(xk * xk + yk * yk)) - 1.0)
-    gx, gy = apply_gradient(system, du)
-    return smax * math.hypot(gx, gy)
 
 
 def analyze(grid, p=0, stencil_mode="face"):

@@ -24,17 +24,15 @@ that text for a whole array with NumPy alone, bit for bit:
 
 import numpy as np
 
-from .grid import cell_lines
+from .grid import _dl_split, cell_lines
 
 _VTK_TRIANGLE = 5
 _VTK_QUAD = 9
 
 _BLOCK = 1 << 14                    # values per block: bounds the temporaries
-_SPLIT = float(2 ** 27 + 1)         # Veltkamp's splitting constant
 _KMIN, _NK = -4, 20                 # fast-range decimal exponents -4..15
 _POW = np.array([float(10 ** (16 - k)) for k in range(_KMIN, _KMIN + _NK)])
-_POW_HI = _POW * _SPLIT - (_POW * _SPLIT - _POW)
-_POW_LO = _POW - _POW_HI
+_POW_HI, _POW_LO = _dl_split(_POW)
 _NDIG = 17
 
 # A row is six 8-byte words: "-0.000" + digit 0 + ".", then digits 1-16 as
@@ -182,7 +180,5 @@ def _two_product(a, k):
     k - _KMIN): Dekker's product of Veltkamp-split halves."""
     c, c_hi, c_lo = _POW[k], _POW_HI[k], _POW_LO[k]
     p = a * c
-    t = a * _SPLIT
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
+    a_hi, a_lo = _dl_split(a)
     return p, ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo

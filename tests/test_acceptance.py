@@ -13,18 +13,15 @@ from gridgauge import (
     GenSpec,
     ProblemSpec,
     analyze,
-    build_stencil,
-    build_system,
     defect_correction_solve,
     exact_solution,
-    f_measure,
-    g_measure,
     generate,
     grid_to_text,
     parse_grid,
     replace_nodes,
     residual_second_order,
 )
+from gridgauge.oracle import build_stencil, build_system, f_measure, g_measure
 from tests.test_lsq import dense_oracle_coefficients, make_stencil
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from gridgauge import (
     GridFormatError,
     analyze,
     generate,
+    grid_to_text,
     load_grid,
     parse_grid,
 )
@@ -118,6 +121,18 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "line" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-1 0\n", "negative counts in header"),
+    ("", "empty grid file"),
+    ("# name: x\n\n", "empty grid file"),
+], ids=["negative-counts", "empty", "comment-only"])
+def test_header_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (3, "", f"gridgauge: line 1: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve", "rank"])
@@ -306,6 +321,29 @@ def test_rank_tie_broken_by_name(tmp_path, capsys):
     assert code == 0
     assert lines[1].split(",")[1] == "aaa"
     assert lines[2].split(",")[1] == "bbb"
+
+
+def test_grid_name_is_one_csv_field(tmp_path, capsys):
+    # The names come from "# name:" comments, and the last from the file
+    # name, since a comment cannot hold a line break.
+    names = ["left,right", 'say "hi"', "two\nlines"]
+    text = grid_to_text(generate(GenSpec(kind="quad", nx=5, ny=5)))
+    text = text.replace("# name: quad_5x5\n", "")
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "two\nlines.txt"]
+    for name, path in zip(names, paths):
+        path.write_text(text if "\n" in name else f"# name: {name}\n{text}")
+    for name, path in zip(names, paths):
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out, newline=""))
+        assert header == CSV_HEADER.split(",")
+        assert row[0] == name and len(row) == len(header)
+    code, out, _ = run(capsys, "rank", *map(str, paths))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
+    assert sorted(row[1] for row in rows[1:]) == sorted(names)
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_rank_single_grid_usage_error(tmp_path, capsys):

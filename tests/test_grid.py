@@ -11,7 +11,6 @@ from gridgauge import (
     GenSpec,
     Grid,
     GridFormatError,
-    build_stencil,
     derive_geometry,
     generate,
     grid_to_text,
@@ -20,6 +19,8 @@ from gridgauge import (
     write_grid,
 )
 from gridgauge.grid import _parse_bulk, _parse_lines, cell_lines
+from gridgauge.lsq import _adjacency
+from gridgauge.oracle import build_stencil
 
 UNIT_QUAD = """4 1
 0.0 0.0
@@ -284,6 +285,33 @@ def test_face_stencil_symmetry():
         for k in nbs:
             if listed[k] is not None:
                 assert j in listed[k]
+
+
+def test_stencil_neighbors_follow_the_grid_asked():
+    # build_stencil keeps one grid's neighbor lists per mode: a call on
+    # another grid, or on a grid re-derived with new connectivity, must not
+    # read them.
+    quad = generate(GenSpec(kind="quad", nx=5, ny=5))
+    tri = generate(GenSpec(kind="tri_irregular", nx=5, ny=5, seed=3))
+    flipped = generate(GenSpec(kind="tri_irregular", nx=5, ny=5, seed=3))
+
+    def check(grid, mode, cells):
+        indptr, indices = _adjacency(grid, mode)
+        for j in cells:
+            want = indices[indptr[j]:indptr[j + 1]].tolist()
+            if len(want) >= 2:
+                assert list(build_stencil(grid, j, mode).neighbors) == want
+
+    for mode in ("face", "vertex"):
+        for j in range(quad.n_cells):
+            check(quad, mode, [j])
+            check(tri, mode, [j])
+        check(flipped, mode, range(flipped.n_cells))
+    flipped.cell_nodes = flipped.cell_nodes[::-1].copy()
+    flipped.cell_nverts = flipped.cell_nverts[::-1].copy()
+    derive_geometry(flipped)
+    for mode in ("face", "vertex"):
+        check(flipped, mode, range(flipped.n_cells))
 
 
 def test_stencil_translation_invariance():

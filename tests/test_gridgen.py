@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gridgauge import GenSpec, build_stencil, generate, grid_to_text
+from gridgauge import GenSpec, generate, grid_to_text
+from gridgauge.oracle import build_stencil
 
 
 def test_single_quad_cell():

@@ -1,7 +1,9 @@
 """Which commands load SciPy: only ``solve`` does; ``gen``, ``analyze`` and
 ``rank`` run on NumPy alone. Each check starts a fresh interpreter, since
-this one has loaded SciPy for other tests."""
+this one has loaded SciPy for other tests. And which modules import the
+scalar oracle: none but the package's ``__init__``."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -84,3 +86,40 @@ def test_solve_without_scipy_is_a_usage_error(tmp_path):
     assert len(lines) == 2
     assert all(line.startswith("gridgauge: solve needs SciPy: ")
                for line in lines)
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _imports_oracle(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "oracle" for m in modules):
+            return True
+    return False
+
+
+def test_only_the_package_init_imports_the_oracle():
+    package = Path(gridgauge.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    oracle_names = _top_level_names(trees.pop("oracle.py"))
+    assert {"build_stencil", "build_system", "f_measure", "g_measure",
+            "apply_gradient", "Stencil", "LsqSystem"} <= oracle_names
+    importers = [name for name, tree in trees.items() if _imports_oracle(tree)]
+    assert importers == ["__init__.py"]
+    for name, tree in trees.items():
+        assert not _top_level_names(tree) & oracle_names, name

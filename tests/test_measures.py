@@ -9,16 +9,13 @@ from gridgauge import (
     DegenerateGridError,
     GenSpec,
     analyze,
-    build_stencil,
-    build_system,
     derive_geometry,
-    f_measure,
-    g_measure,
     generate,
     parse_grid,
     replace_nodes,
     write_vtk,
 )
+from gridgauge.oracle import build_stencil, build_system, f_measure, g_measure
 from tests.test_lsq import make_stencil
 
 CROSS = make_stencil([1, -1, 0, 0], [0, 0, 1, -1])

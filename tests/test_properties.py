@@ -21,15 +21,8 @@ from gridgauge import (
     parse_grid,
 )
 from gridgauge import lsq
-from gridgauge.grid import (
-    _HYPOT_BLOCK,
-    _face_adjacency,
-    _hypot,
-    _parse_bulk,
-    _parse_lines,
-    _polygon_centroid_area,
-    _vertex_adjacency,
-)
+from gridgauge.grid import _HYPOT_BLOCK, _hypot, _parse_bulk, _parse_lines
+from gridgauge.oracle import _face_adjacency, _vertex_adjacency
 from tests.test_lsq import scalar_table
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
@@ -95,6 +88,25 @@ def test_bulk_parse_equals_line_parse(spec):
     assert np.array_equal(nodes.view(np.int64), lines.nodes.view(np.int64))
     assert np.array_equal(cell_nodes, lines.cell_nodes)
     assert np.array_equal(cell_nverts, lines.cell_nverts)
+
+
+def _polygon_centroid_area(pts):
+    """Exact area centroid via a signed triangle fan from the first vertex.
+
+    For triangles this is the vertex mean; for quads it is the area-weighted
+    mean of the two triangles split along the (v0, v2) diagonal. The scalar
+    reference that the geometry test below holds :func:`derive_geometry` to.
+    """
+    x0, y0 = pts[0]
+    cx = cy = area = 0.0
+    for i in range(1, len(pts) - 1):
+        x1, y1 = pts[i]
+        x2, y2 = pts[i + 1]
+        a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        area += a
+        cx += a * (x0 + x1 + x2) / 3.0
+        cy += a * (y0 + y1 + y2) / 3.0
+    return (cx / area, cy / area), area
 
 
 @SETTINGS

@@ -11,9 +11,6 @@ from gridgauge import (
     ProblemSpec,
     SingularStencilError,
     analyze,
-    apply_gradient,
-    build_stencil,
-    build_system,
     defect_correction_solve,
     exact_solution,
     generate,
@@ -22,6 +19,7 @@ from gridgauge import (
     save_grid,
     source_term,
 )
+from gridgauge.oracle import apply_gradient, build_stencil, build_system
 from gridgauge import solver
 from gridgauge.cli import main
 
