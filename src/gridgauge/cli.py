@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import re
 import sys
+from urllib.parse import quote
 
 from . import measures, solver
 from .errors import DegenerateGridError, GridFormatError
@@ -172,12 +173,19 @@ def _cmd_solve(args):
         report.write_history_csv(fh)
     iters = report.iterations_to_tol
     sys.stdout.write(
-        f"{report.status} grid={grid.name} iterations="
+        f"{report.status} grid={_summary_name(grid.name)} iterations="
         f"{iters if iters is not None else 'n/a'} "
         f"work_units={report.work_units:.17g} "
         f"final_residual={report.residual_history[-1]:.17g}\n"
     )
     return EXIT_OK if report.converged else EXIT_NUMERICAL
+
+
+def _summary_name(name):
+    """name with each whitespace character and each '%' percent-encoded,
+    as one token that urllib.parse.unquote turns back into name."""
+    return "".join(quote(c, safe="") if c.isspace() or c == "%" else c
+                   for c in name)
 
 
 def main(argv=None):

@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import GridFormatError
 
-# Distances below this fraction of the bounding-box diagonal make a
-# neighbor unusable for gradient reconstruction.
-DEGENERACY_RTOL = 1e-13
 # Elements per block of _hypot: its temporaries then stay in the L2 cache.
 _HYPOT_BLOCK = 4096
 # Veltkamp's splitting constant, 2**27 + 1.
@@ -38,6 +35,8 @@ _LF, _SPACE = ord("\n"), ord(" ")
 _LONE_SIGN = re.compile(rb"[+-](?![0-9])")
 # The ASCII line breaks of str.splitlines besides LF and CRLF.
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+# Every line break of str.splitlines, CRLF first so that it is one break.
+_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass
@@ -64,17 +63,16 @@ class Grid:
     """A grid and its geometry, derived when the grid is built; queries are
     pure.
 
-    ``cell_nodes`` is the (n, 4) node table, padded with -1 after each cell's
-    ``cell_nverts`` (3 or 4) vertices. :func:`derive_geometry` fills
-    ``centroids`` (n, 2), ``areas``, ``face_arrays`` and ``bbox_diagonal``
-    (0.0 without nodes), and raises :class:`GridFormatError` for a grid it
-    cannot derive them for.
+    ``cell_nodes`` is the (n, 4) intp node table: each row holds a cell's 3
+    or 4 vertices, then -1 padding. :func:`derive_geometry` checks it, fills
+    ``cell_nverts``, ``centroids`` (n, 2), ``areas``, ``face_arrays`` and
+    ``bbox_diagonal`` (0.0 without nodes), or raises :class:`GridFormatError`.
     """
 
     name: str
     nodes: np.ndarray
     cell_nodes: np.ndarray
-    cell_nverts: np.ndarray
+    cell_nverts: np.ndarray = field(init=False)
     centroids: np.ndarray = field(init=False)
     areas: np.ndarray = field(init=False)
     face_arrays: FaceArrays = field(init=False)
@@ -169,21 +167,19 @@ def _dl_mul(a, b):
     return z, p - z + q + alo * blo
 
 
-def _edge_ends(cell_nodes, nverts):
+def _edge_ends(cell_nodes):
     """End node of the edge that starts at each slot of the cell table, and
     which slots hold a vertex."""
-    valid = _SLOTS < nverts[:, None]
-    end = np.where(_SLOTS + 1 < nverts[:, None], np.roll(cell_nodes, -1, 1),
-                   cell_nodes[:, :1])
-    return end, valid
+    end = np.roll(cell_nodes, -1, 1)
+    return np.where(end >= 0, end, cell_nodes[:, :1]), cell_nodes >= 0
 
 
-def _signed_areas(nodes, cell_nodes, nverts):
+def _signed_areas(nodes, cell_nodes):
     """Shoelace area of every cell, summed in vertex order as
     :func:`_signed_area` sums it."""
-    end, valid = _edge_ends(cell_nodes, nverts)
+    end, valid = _edge_ends(cell_nodes)
     x, y = nodes[:, 0], nodes[:, 1]
-    a = np.zeros(len(nverts))
+    a = np.zeros(len(cell_nodes))
     # Huge coordinates overflow to inf and NaN, which the callers reject.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(4):
@@ -211,7 +207,7 @@ def _comment_name(line, name):
     return name
 
 
-def parse_grid(source, name=""):
+def parse_grid(source):
     """Parse gridgauge text (a str, UTF-8 bytes, or a text or binary stream)
     into a validated :class:`Grid`.
 
@@ -231,9 +227,9 @@ def parse_grid(source, name=""):
             text = text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
-    parsed = _parse_bulk(text, name)
+    parsed = _parse_bulk(text, "")
     if parsed is None:
-        return _parse_lines(text, name)
+        return _parse_lines(text, "")
     # Derive the geometry only once the text read from a stream is freed:
     # it would otherwise raise the peak memory of a load.
     del text
@@ -255,7 +251,7 @@ def _decode_error(exc):
 def _parse_bulk(text, name):
     """parse_grid for ASCII files whose comment and blank lines all precede
     the header, converting all nodes and all cells at once into the
-    :class:`Grid` arguments (name, nodes, cell_nodes, cell_nverts). Returns
+    :class:`Grid` arguments (name, nodes, cell_nodes). Returns
     None for any other file and wherever a check fails;
     :func:`_parse_lines` then parses the file or raises the error of its
     first bad line."""
@@ -331,9 +327,9 @@ def _parse_bulk(text, name):
     if any((cell_nodes[:, i] == cell_nodes[:, k]).any()
            for i in range(4) for k in range(i + 1, 4)):
         return None
-    if not (_signed_areas(nodes, cell_nodes, nverts) > 0.0).all():
+    if not (_signed_areas(nodes, cell_nodes) > 0.0).all():
         return None
-    return name, nodes, cell_nodes, nverts
+    return name, nodes, cell_nodes
 
 
 def _parse_lines(text, name):
@@ -430,15 +426,13 @@ def _parse_lines(text, name):
             )
         cells.append(verts + (-1,) * (4 - nverts))
 
-    cell_nodes = np.array(cells, dtype=np.intp).reshape(-1, 4)
-    return Grid(name=name, nodes=nodes, cell_nodes=cell_nodes,
-                cell_nverts=(cell_nodes >= 0).sum(axis=1))
+    return Grid(name, nodes, np.array(cells, dtype=np.intp).reshape(-1, 4))
 
 
 def write_grid(grid, stream):
     """Write a grid in gridgauge text format with round-trip-exact coordinates."""
     if grid.name:
-        stream.write(f"# name: {grid.name}\n")
+        stream.write(f"# name: {one_line(grid.name)}\n")
     stream.write(f"{grid.n_nodes} {grid.n_cells}\n")
     stream.write(("%r %r\n" * grid.n_nodes) % _node_values(grid))
     stream.write(cell_lines(grid))
@@ -449,11 +443,17 @@ def _node_values(grid):
     return tuple(grid.nodes.astype(float).ravel().tolist())
 
 
+def one_line(text):
+    """text with each line break that str.splitlines finds replaced by one
+    space."""
+    return _BREAK.sub(" ", text)
+
+
 def cell_lines(grid):
     """One string of the lines "<nverts> v1 ... vn" of all cells, as grid
     and VTK files list them."""
     line = [f"{k}{' %d' * k}\n" for k in range(5)]
-    verts = grid.cell_nodes[_SLOTS < grid.cell_nverts[:, None]]
+    verts = grid.cell_nodes[grid.cell_nodes >= 0]
     return "".join(map(line.__getitem__, grid.cell_nverts.tolist())) \
         % tuple(verts.tolist())
 
@@ -484,17 +484,19 @@ def save_grid(grid, path):
 
 
 def derive_geometry(grid):
-    """Fill centroids, areas, face_arrays and bbox_diagonal; returns the grid.
-    Every :class:`Grid` calls it when it is built.
+    """Check the cell table, fill cell_nverts, centroids, areas, face_arrays
+    and bbox_diagonal, and return the grid; every :class:`Grid` calls it.
 
     Faces are discovered in deterministic order (cells in index order, edges
-    in vertex order). Raises :class:`GridFormatError` for a cell of
-    non-positive (or NaN) area; else for a zero-length edge, or an edge
-    shared by more than two cells or traversed twice in the same direction,
-    reporting the first in that order; else for a cell whose centroid
-    overflows, then for one whose centroid underflows.
+    in vertex order). Raises :class:`GridFormatError` for a bad cell table
+    (:func:`_cell_nverts`); else for a cell of non-positive (or NaN) area;
+    else for a zero-length edge, or an edge shared by more than two cells or
+    traversed twice in the same direction, reporting the first in that
+    order; else for a cell whose centroid overflows, then for one whose
+    centroid underflows.
     """
-    nodes, cell_nodes, nverts = grid.nodes, grid.cell_nodes, grid.cell_nverts
+    nodes, cell_nodes = grid.nodes, grid.cell_nodes
+    nverts = grid.cell_nverts = _cell_nverts(cell_nodes, len(nodes))
     x, y = nodes[:, 0], nodes[:, 1]
     # Triangle fan from vertex 0, added up triangle by triangle as the
     # scalar fan of tests/test_properties.py adds it; a quad's second
@@ -530,7 +532,7 @@ def derive_geometry(grid):
     # Every cell's edges in discovery order. An edge's first occurrence
     # makes a face, its second gives the face's neighbor; faces are numbered
     # in order of first occurrence.
-    end, valid = _edge_ends(cell_nodes, nverts)
+    end, valid = _edge_ends(cell_nodes)
     a, b = cell_nodes[valid], end[valid]
     cell = np.repeat(np.arange(len(nverts)), nverts)
     key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
@@ -588,11 +590,22 @@ def derive_geometry(grid):
     return grid
 
 
-def replace_nodes(grid, nodes, name=None):
+def _cell_nverts(table, n_nodes):
+    """Vertex counts of a cell table, checked by whole-table reductions; only
+    when they fail is the first bad row looked for and named."""
+    # Narrower integers would overflow in the face keys.
+    if getattr(table, "shape", ())[1:] != (4,) or table.dtype != np.intp:
+        raise GridFormatError("the cell table is not an (n, 4) array of intp")
+    last = table[:, 3]
+    # Every entry is -1 or a node index, and only the last slots hold -1.
+    if not (table.min(initial=-1) >= -1 and table.max(initial=-1) < n_nodes
+            and np.count_nonzero(table < 0) == np.count_nonzero(last < 0)):
+        j = np.argmax(((table < [0, 0, 0, -1]) | (table >= n_nodes)).any(1))
+        raise GridFormatError(f"cell {j} has nodes {table[j].tolist()}, not 3 "
+                              f"or 4 indices in [0, {n_nodes}) then -1")
+    return (last >= 0) + 3
+
+
+def replace_nodes(grid, nodes):
     """New grid with the same connectivity on moved nodes."""
-    return Grid(
-        name=grid.name if name is None else name,
-        nodes=np.asarray(nodes, dtype=float).copy(),
-        cell_nodes=grid.cell_nodes,
-        cell_nverts=grid.cell_nverts,
-    )
+    return Grid(grid.name, np.array(nodes, dtype=float), grid.cell_nodes)

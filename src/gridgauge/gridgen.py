@@ -51,6 +51,8 @@ class GenSpec:
         if not (0.0 < ar < math.inf and 1.0 / ar < math.inf):
             raise ValueError("aspect_ratio and 1/aspect_ratio must be "
                              f"positive and finite, got {ar}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def grid_name(self):
@@ -75,11 +77,6 @@ def _corners(nx, ny):
     return n00, n00 + 1, n00 + 1 + nx, n00 + nx
 
 
-def _quad_cells(nx, ny):
-    cells = np.column_stack(_corners(nx, ny))
-    return cells, np.full(len(cells), 4, dtype=np.intp)
-
-
 def _tri_cells(nodes, nx, ny, diagonals):
     """Split each quad in two; diagonals[j, i] = 0 asks for the lower-left to
     upper-right diagonal, 1 for the other one. A choice that would invert a
@@ -101,8 +98,7 @@ def _tri_cells(nodes, nx, ny, diagonals):
     chosen = splits[wanted, quad]
     ok = ccw(chosen[:, :3]) & ccw(chosen[:, 3:])
     tris = splits[np.where(ok, wanted, 1 - wanted), quad].reshape(-1, 3)
-    cells = np.column_stack([tris, np.full(len(tris), -1)])
-    return cells, np.full(len(cells), 3, dtype=np.intp)
+    return np.column_stack([tris, np.full(len(tris), -1)])
 
 
 def generate(spec):
@@ -113,10 +109,10 @@ def generate(spec):
     nodes = _lattice(nx, ny, 1.0, height)
 
     if spec.kind in ("quad", "quad_ar"):
-        cells, nverts = _quad_cells(nx, ny)
+        cells = np.column_stack(_corners(nx, ny))
     elif spec.kind == "tri_regular":
         diagonals = np.zeros((ny - 1, nx - 1), dtype=int)
-        cells, nverts = _tri_cells(nodes, nx, ny, diagonals)
+        cells = _tri_cells(nodes, nx, ny, diagonals)
     else:
         rng = np.random.default_rng(spec.seed)
         disp = rng.uniform(-1.0, 1.0, size=(ny * nx, 2))
@@ -131,7 +127,6 @@ def generate(spec):
             [spec.perturb * hx, spec.perturb * hy]
         )
         diagonals = rng.integers(0, 2, size=(ny - 1, nx - 1))
-        cells, nverts = _tri_cells(nodes, nx, ny, diagonals)
+        cells = _tri_cells(nodes, nx, ny, diagonals)
 
-    return Grid(name=spec.grid_name, nodes=nodes, cell_nodes=cells,
-                cell_nverts=nverts)
+    return Grid(spec.grid_name, nodes, cells)

@@ -28,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError
-from .grid import DEGENERACY_RTOL, _hypot
+from .grid import _hypot
 
+# Distances below this fraction of the bounding-box diagonal make a
+# neighbor unusable for gradient reconstruction.
+DEGENERACY_RTOL = 1e-13
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12
 # Cells per block of lsq_table: bounds its temporary arrays, which set the

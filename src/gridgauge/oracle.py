@@ -15,8 +15,7 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import DegenerateStencilError, SingularStencilError
-from .grid import DEGENERACY_RTOL
-from .lsq import SINGULARITY_EPS
+from .lsq import DEGENERACY_RTOL, SINGULARITY_EPS
 
 
 @dataclass
@@ -70,8 +69,7 @@ def _face_adjacency(grid):
 
 def _vertex_adjacency(grid):
     """Per cell, the sorted other cells that share a node with it."""
-    cells = [row[:k] for row, k in zip(grid.cell_nodes.tolist(),
-                                       grid.cell_nverts.tolist())]
+    cells = [[v for v in row if v >= 0] for row in grid.cell_nodes.tolist()]
     node_cells = [[] for _ in range(grid.n_nodes)]
     for j, verts in enumerate(cells):
         for v in verts:

@@ -195,9 +195,10 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
 
     Outer loop: evaluate R(u); stop on convergence; otherwise relax
     J du = -R with symmetric sweeps and update u. The report carries the
-    stop reason, the normalized residual history (entry 0 is 1) and the
-    cumulative work units per entry. A residual norm above DIVERGENCE_FACTOR
-    times the initial one, or a non-finite one, stops the solve as diverged.
+    stop reason, the normalized residual history (entry 0 is 1, or 0 when
+    the initial residual is zero) and the cumulative work units per entry.
+    A residual norm above DIVERGENCE_FACTOR times the initial one, or a
+    non-finite one, stops the solve as diverged.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -217,7 +218,7 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     work_history = [work]
 
     if r0 == 0.0:
-        return SolveReport("converged", history, work_history, u)
+        return SolveReport("converged", [0.0], work_history, u)
     if not math.isfinite(r0):
         return SolveReport("diverged", history, work_history, u)
 

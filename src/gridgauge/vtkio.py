@@ -24,7 +24,7 @@ that text for a whole array with NumPy alone, bit for bit:
 
 import numpy as np
 
-from .grid import _dl_split, cell_lines
+from .grid import _dl_split, cell_lines, one_line
 
 _VTK_TRIANGLE = 5
 _VTK_QUAD = 9
@@ -72,7 +72,8 @@ def write_vtk(target, grid, cell_data=None, title="gridgauge export"):
     """Write the grid and optional per-cell scalar fields.
 
     cell_data maps field names to sequences with one value per cell.
-    ``target`` may be a path or a writable text stream.
+    ``target`` may be a path or a writable text stream. Each line break in
+    ``title`` is written as one space.
     """
     if hasattr(target, "write"):
         _write(target, grid, cell_data or {}, title)
@@ -83,7 +84,7 @@ def write_vtk(target, grid, cell_data=None, title="gridgauge export"):
 
 def _write(out, grid, cell_data, title):
     n, nverts = grid.n_cells, grid.cell_nverts
-    out.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
+    out.write(f"# vtk DataFile Version 2.0\n{one_line(title)}\nASCII\n"
               f"DATASET UNSTRUCTURED_GRID\nPOINTS {grid.n_nodes} double\n")
     out.write(_format(grid.nodes, (" ", " 0\n")))
     out.write(f"CELLS {n} {int(nverts.sum()) + n}\n")

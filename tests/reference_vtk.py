@@ -25,9 +25,20 @@ def percent_format(values, suffixes):
     return (pattern * (values.size // len(suffixes))) % tuple(values.tolist())
 
 
+def one_line(text):
+    """text with each line break that str.splitlines finds replaced by one
+    space."""
+    out = []
+    for line in text.splitlines(keepends=True):
+        body = line.splitlines()[0]
+        out.append(body + " " if body != line else line)
+    return "".join(out)
+
+
 def write_vtk_reference(out, grid, cell_data, title):
     """The text ``gridgauge.write_vtk(out, grid, cell_data, title)`` writes."""
     n, nverts = grid.n_cells, grid.cell_nverts
+    title = one_line(title)
     out.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
               f"DATASET UNSTRUCTURED_GRID\nPOINTS {grid.n_nodes} double\n")
     out.write(percent_format(grid.nodes, (" ", " 0\n")))

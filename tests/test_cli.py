@@ -1,6 +1,9 @@
 import csv
+import importlib
 import io
 import math
+from pathlib import Path
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from gridgauge import (
 )
 from gridgauge.cli import main
 from gridgauge.grid import cell_lines
+from tests.reference_vtk import write_analyze_reference
 
 
 def run(capsys, *argv):
@@ -478,3 +482,70 @@ def test_threads_env_non_integer_ignored(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRIDGAUGE_THREADS", "many")
     assert run(capsys, "analyze", str(path)) == unset
     assert unset[0] == 0
+
+
+def test_vtk_title_is_one_line(tmp_path, capsys):
+    # The grid takes its name, line break and all, from the file name.
+    text = grid_to_text(generate(GenSpec(kind="quad", nx=5, ny=5)))
+    path = tmp_path / "two\nlines.txt"
+    path.write_text(text.replace("# name: quad_5x5\n", ""))
+    vtk = tmp_path / "out.vtk"
+    code, _, _ = run(capsys, "analyze", str(path), "--vtk", str(vtk))
+    assert code == 0
+    lines = vtk.read_text().split("\n")
+    assert lines[1:3] == ["gridgauge measures for two lines", "ASCII"]
+    want = io.StringIO()
+    write_analyze_reference(want, load_grid(path), 0, "face")
+    assert vtk.read_text() == want.getvalue()
+
+
+@pytest.mark.parametrize("name", [
+    "my grid", "100%", "tab\there", "two\nlines",
+    "nbsp\xa0ideographic\u3000space", "%20 and\r\n%", "plain_name"])
+def test_solve_summary_grid_field_is_one_token(tmp_path, capsys, monkeypatch,
+                                               name):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    summary = importlib.import_module("gate").SUMMARY
+    text = grid_to_text(generate(GenSpec(kind="quad", nx=5, ny=5)))
+    path = tmp_path / "g.txt"
+    if "\n" in name:
+        # A comment cannot hold a line break; the file name can.
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text.replace("# name: quad_5x5\n", ""))
+    else:
+        path.write_text(text.replace("quad_5x5", name))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    line = out.split("\n")[-2]
+    assert summary.fullmatch(line)
+    field = line.split()[1]
+    assert unquote(field[len("grid="):]) == name
+    if name == "plain_name":
+        assert field == "grid=plain_name"
+    if name == "my grid":
+        assert field == "grid=my%20grid"
+
+
+def test_zero_initial_residual_summary(tmp_path, capsys):
+    # On [-1, 1]^2 the manufactured solution vanishes on the boundary, and
+    # its source at the centroid is 0: u = 0 solves the one-cell problem.
+    path = tmp_path / "g.txt"
+    path.write_text("4 1\n-1 -1\n1 -1\n1 1\n-1 1\n4 0 1 2 3\n")
+    hist = tmp_path / "hist.csv"
+    code, out, _ = run(capsys, "solve", str(path), "--first-order",
+                       "-o", str(hist))
+    assert code == 0
+    assert out == ("converged grid=g iterations=0 work_units=1 "
+                   "final_residual=0\n")
+    assert hist.read_text() == "iter,residual_norm,work_units\n0,0,1\n"
+
+
+@pytest.mark.parametrize("kind", ["quad", "quad-ar", "tri-regular",
+                                  "tri-irregular"])
+def test_gen_negative_seed_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "g.txt"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--nx", "5", "--ny",
+                       "5", "--seed", "-1", "-o", str(path))
+    assert code == 2
+    assert err == "gridgauge: seed must be non-negative, got -1\n"
+    assert not path.exists()

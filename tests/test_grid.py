@@ -18,7 +18,7 @@ from gridgauge import (
     replace_nodes,
     write_grid,
 )
-from gridgauge.grid import _parse_bulk, _parse_lines, cell_lines
+from gridgauge.grid import _parse_bulk, _parse_lines, cell_lines, one_line
 from gridgauge.lsq import _adjacency
 from gridgauge.oracle import build_stencil
 
@@ -591,7 +591,7 @@ def test_first_faulty_edge_reported():
 def test_overflowing_geometry_rejected(corners, scale, message):
     nodes = np.array(corners, dtype=float) * scale
     with pytest.raises(GridFormatError) as err:
-        Grid("huge", nodes, np.array([[0, 1, 2, -1]]), np.array([3]))
+        Grid("huge", nodes, np.array([[0, 1, 2, -1]]))
     assert str(err.value) == message
 
 
@@ -758,3 +758,77 @@ def test_bulk_parse_matches_line_parse(text):
 ], ids=["lf", "crlf", "tabs", "leading-comments", "no-final-newline"])
 def test_layouts_take_bulk_parse(layout):
     assert _parse_bulk(layout(MIXED), "") is not None
+
+
+@pytest.mark.parametrize("row", [
+    [0, 1, -1, 2],          # padding before a vertex
+    [0, 1, 2, 99],          # index past the last node
+    [0, 1, 2, -2],          # negative index other than the padding
+    [0, -1, -1, -1],        # one vertex
+])
+def test_malformed_cell_row_named(row):
+    quad = generate(GenSpec(kind="quad", nx=4, ny=4))
+    cell_nodes = quad.cell_nodes.copy()
+    cell_nodes[0] = row
+    with pytest.raises(GridFormatError) as err:
+        Grid("bad", quad.nodes, cell_nodes)
+    assert str(err.value) == (
+        f"cell 0 has nodes {row}, not 3 or 4 indices in [0, 16) then -1")
+
+
+def test_first_malformed_cell_row_named():
+    quad = generate(GenSpec(kind="quad", nx=4, ny=4))
+    cell_nodes = quad.cell_nodes.copy()
+    cell_nodes[[4, 7]] = [[5, 6, 10, 16], [-1, 9, 13, 12]]
+    with pytest.raises(GridFormatError, match="^cell 4 has nodes"):
+        Grid("bad", quad.nodes, cell_nodes)
+
+
+@pytest.mark.parametrize("cell_nodes", [
+    np.array([[0.0, 1.0, 2.0, -1.0]]),
+    np.array([[0, 1, 2, -1]], dtype=np.int32),
+    np.array([[0, 1, 2, 2]], dtype=np.uint64),
+    np.array([[0, 1, 2]]),
+    np.array([0, 1, 2, -1]),
+    [[0, 1, 2, -1]],
+])
+def test_cell_table_must_be_intp_n_by_4(cell_nodes):
+    with pytest.raises(GridFormatError, match=r"^the cell table is not an "
+                                              r"\(n, 4\) array of intp$"):
+        Grid("bad", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             cell_nodes)
+
+
+def test_vertex_counts_follow_the_padding():
+    # The one table says how many vertices each cell has: a quad row read
+    # whole, a row padded after three nodes read as a triangle.
+    quad = generate(GenSpec(kind="quad", nx=4, ny=4))
+    assert quad.cell_nverts.tolist() == [4] * 9
+    cell_nodes = quad.cell_nodes.copy()
+    cell_nodes[0] = [0, 1, 5, -1]
+    grid = Grid("corner", quad.nodes, cell_nodes)
+    assert grid.cell_nverts.tolist() == [3] + [4] * 8
+    assert grid.areas[0] == pytest.approx(quad.areas[0] / 2)
+    empty = Grid("empty", quad.nodes, np.empty((0, 4), dtype=np.intp))
+    assert empty.n_cells == 0
+
+
+@pytest.mark.parametrize("name, written", [
+    ("two\nlines", "two lines"),
+    ("crlf\r\nend", "crlf end"),
+    ("lf\n\ntwice", "lf  twice"),
+    ("all\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", "all" + " " * 9),
+])
+def test_name_comment_is_one_line(name, written):
+    grid = parse_grid(UNIT_QUAD)
+    grid.name = name
+    text = grid_to_text(grid)
+    assert text.splitlines()[0] == f"# name: {written}"
+    assert parse_grid(text).name == written.strip()
+
+
+def test_one_line_replaces_every_splitlines_break():
+    # Every code point, each after an "x", so that no two form a CRLF.
+    text = "".join(f"x{chr(c)}" for c in range(0x110000))
+    assert one_line(text) == " ".join(text.splitlines())
+    assert one_line("a\r\nb\n\rc") == "a b  c"

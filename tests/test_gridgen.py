@@ -109,3 +109,11 @@ def test_quad_interior_stencil_spacing():
 def test_invalid_specs_rejected(spec):
     with pytest.raises(ValueError):
         generate(spec)
+
+
+@pytest.mark.parametrize("kind", ["quad", "quad_ar", "tri_regular",
+                                  "tri_irregular"])
+def test_negative_seed_rejected(kind):
+    with pytest.raises(ValueError,
+                       match="^seed must be non-negative, got -1$"):
+        generate(GenSpec(kind=kind, nx=3, ny=3, seed=-1))

@@ -206,8 +206,7 @@ def notch_grid():
     face neighbors (singular), cell 3 one neighbor (degenerate)."""
     quad = generate(GenSpec(kind="quad", nx=5, ny=3))
     return derive_geometry(Grid(name="notch", nodes=quad.nodes,
-                                cell_nodes=quad.cell_nodes[:6],
-                                cell_nverts=quad.cell_nverts[:6]))
+                                cell_nodes=quad.cell_nodes[:6]))
 
 
 def far_grid():
@@ -218,8 +217,7 @@ def far_grid():
     nodes = np.vstack([quad.nodes, far])
     return derive_geometry(Grid(
         name="far", nodes=nodes,
-        cell_nodes=np.vstack([quad.cell_nodes, [9, 10, 11, 12]]),
-        cell_nverts=np.append(quad.cell_nverts, 4)))
+        cell_nodes=np.vstack([quad.cell_nodes, [9, 10, 11, 12]])))
 
 
 def scalar_table(grid, p, mode):

@@ -5,6 +5,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gridgauge import (
     GenSpec,
     Grid,
+    GridFormatError,
     ProblemSpec,
     analyze,
     defect_correction_solve,
@@ -21,7 +23,13 @@ from gridgauge import (
     parse_grid,
 )
 from gridgauge import lsq
-from gridgauge.grid import _HYPOT_BLOCK, _hypot, _parse_bulk, _parse_lines
+from gridgauge.grid import (
+    _HYPOT_BLOCK,
+    _cell_nverts,
+    _hypot,
+    _parse_bulk,
+    _parse_lines,
+)
 from gridgauge.oracle import _face_adjacency, _vertex_adjacency
 from tests.test_lsq import scalar_table
 
@@ -82,12 +90,11 @@ def test_bulk_parse_equals_line_parse(spec):
     bulk = _parse_bulk(text, "")
     lines = _parse_lines(text, "")
     assert bulk is not None
-    name, nodes, cell_nodes, cell_nverts = bulk
+    name, nodes, cell_nodes = bulk
     assert name == lines.name
     # Bitwise: array_equal takes -0.0 for 0.0.
     assert np.array_equal(nodes.view(np.int64), lines.nodes.view(np.int64))
     assert np.array_equal(cell_nodes, lines.cell_nodes)
-    assert np.array_equal(cell_nverts, lines.cell_nverts)
 
 
 def _polygon_centroid_area(pts):
@@ -217,8 +224,7 @@ def test_adjacency_equals_scalar_neighbor_lists(spec, rnd):
     order = list(range(grid.n_cells))
     rnd.shuffle(order)
     grid = Grid(name=grid.name, nodes=grid.nodes,
-                cell_nodes=grid.cell_nodes[order],
-                cell_nverts=grid.cell_nverts[order])
+                cell_nodes=grid.cell_nodes[order])
     for mode, scalar in (("face", _face_adjacency),
                          ("vertex", _vertex_adjacency)):
         with mock.patch.object(lsq, "BLOCK", 5):
@@ -236,7 +242,7 @@ def test_cell_renumbering_equivariance(spec, rnd):
     rnd.shuffle(order)
     renumbered = derive_geometry(Grid(
         name=grid.name, nodes=grid.nodes,
-        cell_nodes=grid.cell_nodes[order], cell_nverts=grid.cell_nverts[order]))
+        cell_nodes=grid.cell_nodes[order]))
     assert np.array_equal(renumbered.centroids, grid.centroids[order])
     assert np.array_equal(renumbered.areas, grid.areas[order])
     # Old cell order[k] is new cell k.
@@ -270,8 +276,7 @@ def test_node_renumbering_equivariance(spec, rnd):
     nodes[label] = grid.nodes
     renumbered = Grid(name=grid.name, nodes=nodes,
                       cell_nodes=np.where(grid.cell_nodes >= 0,
-                                          label[grid.cell_nodes], -1),
-                      cell_nverts=grid.cell_nverts)
+                                          label[grid.cell_nodes], -1))
     assert np.array_equal(renumbered.centroids, grid.centroids)
     assert np.array_equal(renumbered.areas, grid.areas)
     fa, fb = grid.face_arrays, renumbered.face_arrays
@@ -293,8 +298,7 @@ def test_node_renumbering_equivariance(spec, rnd):
 
 
 def moved(grid, nodes):
-    return Grid(name=grid.name, nodes=nodes, cell_nodes=grid.cell_nodes,
-                cell_nverts=grid.cell_nverts)
+    return Grid(name=grid.name, nodes=nodes, cell_nodes=grid.cell_nodes)
 
 
 @SETTINGS
@@ -323,3 +327,30 @@ def test_measures_invariant_under_motion_and_scaling(spec, tx, ty, angle, j):
             assert np.array_equal(b.degenerate, a.degenerate)
             assert np.array_equal(b.f * 2.0 ** j, a.f, equal_nan=True)
             assert np.array_equal(b.g, a.g, equal_nan=True)
+
+
+def _scalar_first_bad_row(rows, n_nodes):
+    """The first row that is not 3 or 4 node indices then -1 padding."""
+    for j, row in enumerate(rows):
+        k = 3 if row[3] == -1 else 4
+        if not all(0 <= v < n_nodes for v in row[:k]):
+            return j
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-3, n + 1), min_size=4,
+                                  max_size=4), max_size=6))))
+def test_cell_table_check_equals_scalar_rule(case):
+    # Random tables over a few nodes: the reductions accept exactly the
+    # tables the row-by-row rule accepts, and name its first bad row.
+    n_nodes, rows = case
+    table = np.array(rows, dtype=np.intp).reshape(-1, 4)
+    j = _scalar_first_bad_row(rows, n_nodes)
+    if j is None:
+        assert _cell_nverts(table, n_nodes).tolist() == [
+            3 if row[3] == -1 else 4 for row in rows]
+    else:
+        with pytest.raises(GridFormatError, match=f"^cell {j} has nodes "):
+            _cell_nverts(table, n_nodes)

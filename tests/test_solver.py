@@ -8,6 +8,7 @@ import pytest
 from gridgauge import (
     DegenerateStencilError,
     GenSpec,
+    Grid,
     ProblemSpec,
     SingularStencilError,
     analyze,
@@ -499,3 +500,16 @@ def test_solve_evaluates_no_bump(monkeypatch):
         report = defect_correction_solve(grid, ProblemSpec(tolerance=1e-6),
                                          p=1, stencil_mode=mode)
         assert report.converged
+
+
+def test_zero_initial_residual_history():
+    # u = 0 solves the one-cell problem on [-1, 1]^2 exactly: the
+    # manufactured solution is 0 on the boundary and so is its source at
+    # the centroid.
+    grid = Grid("zero", np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                  [-1.0, 1.0]]), np.array([[0, 1, 2, 3]]))
+    report = defect_correction_solve(grid, ProblemSpec(first_order=True))
+    assert report.status == "converged"
+    assert report.residual_history == [0.0]
+    assert report.work_history == [1.0]
+    assert report.iterations_to_tol == 0

@@ -9,6 +9,7 @@ import io
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +129,17 @@ def test_write_vtk_equals_reference_writer():
         write_vtk(got, grid, fields, title="t")
         write_vtk_reference(want, grid, fields, "t")
         assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("title, line", [
+    ("two\nlines", "two lines"),
+    ("crlf\r\n and\x1cfile sep\n", "crlf  and file sep "),
+    ("tab\tand\xa0nbsp", "tab\tand\xa0nbsp"),
+])
+def test_title_is_one_line(title, line):
+    grid = generate(GenSpec(kind="tri_regular", nx=3, ny=3))
+    got, want = io.StringIO(), io.StringIO()
+    write_vtk(got, grid, title=title)
+    write_vtk_reference(want, grid, {}, title)
+    assert got.getvalue().split("\n")[1:3] == [line, "ASCII"]
+    assert got.getvalue() == want.getvalue()

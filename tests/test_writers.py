@@ -55,8 +55,7 @@ def mixed_grid():
     return Grid(name="mixed", nodes=np.array([[0, 0], [1, 0], [2, 0],
                                               [0, 1], [1, 1], [2, 1]]),
                 cell_nodes=np.array([[0, 1, 4, 3], [1, 2, 5, -1],
-                                     [1, 5, 4, -1]]),
-                cell_nverts=np.array([4, 3, 3]))
+                                     [1, 5, 4, -1]]))
 
 
 def make_grid(kind):
