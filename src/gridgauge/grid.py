@@ -66,7 +66,8 @@ class Grid:
     ``cell_nodes`` is the (n, 4) intp node table: each row holds a cell's 3
     or 4 vertices, then -1 padding. :func:`derive_geometry` checks it, fills
     ``cell_nverts``, ``centroids`` (n, 2), ``areas``, ``face_arrays`` and
-    ``bbox_diagonal`` (0.0 without nodes), or raises :class:`GridFormatError`.
+    ``bbox_diagonal`` (over the nodes the cells use, 0.0 without cells), or
+    raises :class:`GridFormatError`.
     """
 
     name: str
@@ -91,8 +92,12 @@ class Grid:
 
     @property
     def bbox(self):
-        lo = self.nodes.min(axis=0)
-        hi = self.nodes.max(axis=0)
+        """(xmin, ymin, xmax, ymax) of the nodes the cells use, so that a node
+        no cell uses changes no answer; ValueError for a grid without cells."""
+        used = self.nodes[np.bincount(self.cell_nodes[self.cell_nodes >= 0],
+                                      minlength=self.n_nodes) > 0]
+        lo = used.min(axis=0)
+        hi = used.max(axis=0)
         return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
@@ -167,38 +172,6 @@ def _dl_mul(a, b):
     return z, p - z + q + alo * blo
 
 
-def _edge_ends(cell_nodes):
-    """End node of the edge that starts at each slot of the cell table, and
-    which slots hold a vertex."""
-    end = np.roll(cell_nodes, -1, 1)
-    return np.where(end >= 0, end, cell_nodes[:, :1]), cell_nodes >= 0
-
-
-def _signed_areas(nodes, cell_nodes):
-    """Shoelace area of every cell, summed in vertex order as
-    :func:`_signed_area` sums it."""
-    end, valid = _edge_ends(cell_nodes)
-    x, y = nodes[:, 0], nodes[:, 1]
-    a = np.zeros(len(cell_nodes))
-    # Huge coordinates overflow to inf and NaN, which the callers reject.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(4):
-            s, e = cell_nodes[:, k], end[:, k]
-            a = np.where(valid[:, k], a + (x[s] * y[e] - x[e] * y[s]), a)
-    return 0.5 * a
-
-
-def _signed_area(pts):
-    """Shoelace area of a polygon given as a list of (x, y) tuples."""
-    a = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        a += x0 * y1 - x1 * y0
-    return 0.5 * a
-
-
 def _comment_name(line, name):
     """The grid name after the stripped comment line ``line``."""
     comment = line[1:].strip()
@@ -228,12 +201,12 @@ def parse_grid(source):
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
     parsed = _parse_bulk(text, "")
-    if parsed is None:
-        return _parse_lines(text, "")
-    # Derive the geometry only once the text read from a stream is freed:
-    # it would otherwise raise the peak memory of a load.
-    del text
-    return Grid(*parsed)
+    if parsed is not None:
+        try:
+            return Grid(*parsed)
+        except GridFormatError:
+            pass
+    return _parse_lines(text, "")
 
 
 def _decode_error(exc):
@@ -251,10 +224,11 @@ def _decode_error(exc):
 def _parse_bulk(text, name):
     """parse_grid for ASCII files whose comment and blank lines all precede
     the header, converting all nodes and all cells at once into the
-    :class:`Grid` arguments (name, nodes, cell_nodes). Returns
-    None for any other file and wherever a check fails;
+    :class:`Grid` arguments (name, nodes, cell_nodes). Returns None for any
+    other file and wherever its tokens are not the numbers of a grid file;
     :func:`_parse_lines` then parses the file or raises the error of its
-    first bad line."""
+    first bad line. Which cells are valid is for :func:`derive_geometry`
+    to judge."""
     if not text.isascii():
         return None
     data = text.encode("ascii")
@@ -319,16 +293,11 @@ def _parse_bulk(text, name):
             and (lengths == nverts + 1).all()):
         return None
     verts = flat[(first[:, None] + 1 + _SLOTS)[inside]]
-    if ((verts < 0) | (verts >= n_nodes)).any():
+    # A vertex -1 would read as padding.
+    if (verts < 0).any():
         return None
     cell_nodes = np.full((n_cells, 4), -1, dtype=np.intp)
     cell_nodes[inside] = verts
-    # Padding is -1, so it never equals a vertex index.
-    if any((cell_nodes[:, i] == cell_nodes[:, k]).any()
-           for i in range(4) for k in range(i + 1, 4)):
-        return None
-    if not (_signed_areas(nodes, cell_nodes) > 0.0).all():
-        return None
     return name, nodes, cell_nodes
 
 
@@ -390,43 +359,52 @@ def _parse_lines(text, name):
         if not np.isfinite(nodes[i]).all():
             raise GridFormatError(f"non-finite coordinate {line!r}", line=lineno)
 
-    cells = []
-    for c in range(n_cells):
-        lineno, line = data_lines[1 + n_nodes + c]
-        tokens = line.split()
-        try:
-            counts = [int(t) for t in tokens]
-        except ValueError:
-            raise GridFormatError(f"bad cell line {line!r}", line=lineno)
-        nverts = counts[0]
-        if nverts not in (3, 4):
-            raise GridFormatError(
-                f"cell must have 3 or 4 vertices, got {nverts}", line=lineno
-            )
-        if len(counts) != nverts + 1:
-            raise GridFormatError(
-                f"cell line needs {nverts + 1} tokens, got {len(counts)}",
-                line=lineno,
-            )
-        verts = tuple(counts[1:])
-        for v in verts:
-            if not 0 <= v < n_nodes:
+    cells, fault = [], None
+    try:
+        for c in range(n_cells):
+            lineno, line = data_lines[1 + n_nodes + c]
+            tokens = line.split()
+            try:
+                counts = [int(t) for t in tokens]
+            except ValueError:
+                raise GridFormatError(f"bad cell line {line!r}", line=lineno)
+            nverts = counts[0]
+            if nverts not in (3, 4):
                 raise GridFormatError(
-                    f"vertex index {v} out of range [0, {n_nodes})", line=lineno
+                    f"cell must have 3 or 4 vertices, got {nverts}", line=lineno
                 )
-        if len(set(verts)) != nverts:
-            raise GridFormatError(f"repeated vertex in cell {verts}", line=lineno)
-        pts = [(float(nodes[v, 0]), float(nodes[v, 1])) for v in verts]
-        area = _signed_area(pts)
-        if not area > 0.0:
-            raise GridFormatError(
-                "cell area overflows" if math.isnan(area) else
-                "cell has non-positive area (vertices must be counter-clockwise)",
-                line=lineno,
-            )
-        cells.append(verts + (-1,) * (4 - nverts))
-
-    return Grid(name, nodes, np.array(cells, dtype=np.intp).reshape(-1, 4))
+            if len(counts) != nverts + 1:
+                raise GridFormatError(
+                    f"cell line needs {nverts + 1} tokens, got {len(counts)}",
+                    line=lineno,
+                )
+            verts = tuple(counts[1:])
+            for v in verts:
+                if not 0 <= v < n_nodes:
+                    raise GridFormatError(
+                        f"vertex index {v} out of range [0, {n_nodes})",
+                        line=lineno,
+                    )
+            if len(set(verts)) != nverts:
+                raise GridFormatError(f"repeated vertex in cell {verts}",
+                                      line=lineno)
+            cells.append(verts + (-1,) * (4 - nverts))
+    except GridFormatError as exc:
+        fault = exc
+    # The area rule of derive_geometry, over the cells before the first
+    # faulty line.
+    cell_nodes = np.array(cells, dtype=np.intp).reshape(-1, 4)
+    area = _fan(nodes, cell_nodes)[0]
+    bad = np.flatnonzero(~(area > 0.0))
+    if len(bad):
+        raise GridFormatError(
+            "cell area overflows" if np.isnan(area[bad[0]]) else
+            "cell has non-positive area (vertices must be counter-clockwise)",
+            line=data_lines[1 + n_nodes + bad[0]][0],
+        )
+    if fault:
+        raise fault
+    return Grid(name, nodes, cell_nodes)
 
 
 def write_grid(grid, stream):
@@ -498,42 +476,21 @@ def derive_geometry(grid):
     nodes, cell_nodes = grid.nodes, grid.cell_nodes
     nverts = grid.cell_nverts = _cell_nverts(cell_nodes, len(nodes))
     x, y = nodes[:, 0], nodes[:, 1]
-    # Triangle fan from vertex 0, added up triangle by triangle as the
-    # scalar fan of tests/test_properties.py adds it; a quad's second
-    # triangle is (v0, v2, v3).
-    x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
-    cx = cy = area = np.zeros(len(nverts))
-    underflow = np.zeros(len(nverts), dtype=bool)
-    # Huge coordinates overflow here, tiny ones underflow; the checks below
-    # reject the result.
+    area, cx, cy, underflow = _fan(nodes, cell_nodes)
+    bad = np.flatnonzero(~(area > 0.0))
+    if len(bad):
+        j = int(bad[0])
+        raise GridFormatError(
+            f"cell {j} has non-positive area {float(area[j])}")
+    # Overflowing or underflowing centroids are rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in (1, 2):
-            x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
-            x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
-            a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-            fan = nverts > k + 1
-            sx, sy = x0 + x1 + x2, y0 + y1 + y2
-            tx, ty = a * sx / 3.0, a * sy / 3.0
-            # A term of nonzero factors below the normal range has lost
-            # precision, all of it if it is zero.
-            underflow |= fan & (a != 0.0) & (
-                (sx != 0.0) & (np.abs(tx) < sys.float_info.min)
-                | (sy != 0.0) & (np.abs(ty) < sys.float_info.min))
-            area = np.where(fan, area + a, area)
-            cx = np.where(fan, cx + tx, cx)
-            cy = np.where(fan, cy + ty, cy)
-        bad = np.flatnonzero(~(area > 0.0))
-        if len(bad):
-            j = int(bad[0])
-            raise GridFormatError(
-                f"cell {j} has non-positive area {float(area[j])}")
         centroids = np.column_stack([cx / area, cy / area])
 
     # Every cell's edges in discovery order. An edge's first occurrence
     # makes a face, its second gives the face's neighbor; faces are numbered
-    # in order of first occurrence.
-    end, valid = _edge_ends(cell_nodes)
-    a, b = cell_nodes[valid], end[valid]
+    # in order of first occurrence. A cell's last edge ends at its vertex 0.
+    end, valid = np.roll(cell_nodes, -1, 1), cell_nodes >= 0
+    a, b = cell_nodes[valid], np.where(end >= 0, end, cell_nodes[:, :1])[valid]
     cell = np.repeat(np.arange(len(nverts)), nverts)
     key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
     _, first, group, count = np.unique(key, return_index=True,
@@ -585,9 +542,39 @@ def derive_geometry(grid):
         midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
                                   (y[na] + y[nb]) / 2.0]),
     )
-    x0, y0, x1, y1 = grid.bbox if len(nodes) else (0.0,) * 4
+    x0, y0, x1, y1 = grid.bbox if len(a) else (0.0,) * 4
     grid.bbox_diagonal = math.hypot(x1 - x0, y1 - y0)
     return grid
+
+
+def _fan(nodes, cell_nodes):
+    """Area, area-weighted centroid sums and centroid-underflow flags of the
+    cells, over the triangle fan from vertex 0 as the scalar fan of
+    tests/test_properties.py adds them; a quad's second triangle is (v0,
+    v2, v3). The one area rule: :func:`derive_geometry` and
+    :func:`_parse_lines` accept a cell only where its area is > 0, which
+    also rejects the NaN of huge coordinates."""
+    x, y = nodes[:, 0], nodes[:, 1]
+    x0, y0 = x[cell_nodes[:, 0]], y[cell_nodes[:, 0]]
+    cx = cy = area = np.zeros(len(cell_nodes))
+    underflow = np.zeros(len(cell_nodes), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 2):
+            x1, y1 = x[cell_nodes[:, k]], y[cell_nodes[:, k]]
+            x2, y2 = x[cell_nodes[:, k + 1]], y[cell_nodes[:, k + 1]]
+            a = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+            fan = cell_nodes[:, k + 1] >= 0
+            sx, sy = x0 + x1 + x2, y0 + y1 + y2
+            tx, ty = a * sx / 3.0, a * sy / 3.0
+            # A term of nonzero factors below the normal range has lost
+            # precision, all of it if it is zero.
+            underflow |= fan & (a != 0.0) & (
+                (sx != 0.0) & (np.abs(tx) < sys.float_info.min)
+                | (sy != 0.0) & (np.abs(ty) < sys.float_info.min))
+            area = np.where(fan, area + a, area)
+            cx = np.where(fan, cx + tx, cx)
+            cy = np.where(fan, cy + ty, cy)
+    return area, cx, cy, underflow
 
 
 def _cell_nverts(table, n_nodes):

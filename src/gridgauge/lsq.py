@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DegenerateGridError
 from .grid import _hypot
 
-# Distances below this fraction of the bounding-box diagonal make a
-# neighbor unusable for gradient reconstruction.
+# Distances below this fraction of Grid.bbox_diagonal, over the nodes the
+# cells use, make a neighbor unusable for gradient reconstruction.
 DEGENERACY_RTOL = 1e-13
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12

@@ -111,7 +111,7 @@ def build_stencil(grid, cell_index, mode="face"):
     ------
     DegenerateStencilError
         Fewer than 2 neighbors, or a centroid distance below
-        ``DEGENERACY_RTOL`` times the bounding-box diagonal.
+        ``DEGENERACY_RTOL`` times ``grid.bbox_diagonal``.
     """
     if mode not in _ADJACENCY:
         raise ValueError(f"unknown stencil mode {mode!r}")

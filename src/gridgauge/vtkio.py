@@ -71,7 +71,7 @@ del _q, _col, _neg, _k, _r, _digit
 def write_vtk(target, grid, cell_data=None, title="gridgauge export"):
     """Write the grid and optional per-cell scalar fields.
 
-    cell_data maps field names to sequences with one value per cell.
+    cell_data maps one-token field names to sequences of one value per cell.
     ``target`` may be a path or a writable text stream. Each line break in
     ``title`` is written as one space.
     """
@@ -96,6 +96,9 @@ def _write(out, grid, cell_data, title):
     if cell_data:
         out.write(f"CELL_DATA {n}\n")
         for name, values in cell_data.items():
+            if str(name).split() != [str(name)]:
+                raise ValueError(
+                    f"cell field name {name!r} is empty or holds whitespace")
             if len(values) != n:
                 raise ValueError(
                     f"cell field {name!r} has {len(values)} values for "

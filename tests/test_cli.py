@@ -272,6 +272,25 @@ def test_analyze_every_decade_matches_unit_scale():
     assert accepted >= set(range(-70, 71))
 
 
+@pytest.mark.parametrize("x", [2e11, 3e11, 1e300])
+def test_unused_node_leaves_analyze_row(tmp_path, capsys, x):
+    # The stencils' too-close tolerance scales with the extent of the nodes
+    # the cells use, so a far node that no cell uses changes no byte.
+    grid = generate(GenSpec(kind="tri_irregular", nx=17, ny=17, perturb=0.45,
+                            seed=1))
+    path = tmp_path / "g.txt"
+    rows = []
+    for nodes in (grid.nodes, np.vstack([grid.nodes, [x, 0.0]])):
+        path.write_text(
+            f"{len(nodes)} {grid.n_cells}\n"
+            + "".join(f"{a!r} {b!r}\n" for a, b in nodes.tolist())
+            + cell_lines(grid), encoding="utf-8")
+        rows.append(run(capsys, "analyze", str(path), "--stencil", "vertex",
+                        "--p", "0"))
+    assert rows[0][0] == 0
+    assert rows[1] == rows[0]
+
+
 def test_rank_orders_by_g_avg(tmp_path, capsys):
     qpath = tmp_path / "quad.txt"
     ipath = tmp_path / "irr.txt"

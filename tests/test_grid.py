@@ -308,7 +308,6 @@ def test_stencil_neighbors_follow_the_grid_asked():
             check(tri, mode, [j])
         check(flipped, mode, range(flipped.n_cells))
     flipped.cell_nodes = flipped.cell_nodes[::-1].copy()
-    flipped.cell_nverts = flipped.cell_nverts[::-1].copy()
     derive_geometry(flipped)
     for mode in ("face", "vertex"):
         check(flipped, mode, range(flipped.n_cells))
@@ -542,8 +541,9 @@ def test_coincident_nodes_zero_length_edge_rejected():
 
 
 def test_zero_fan_area_rejected():
-    # A bow-tie quad: its shoelace area rounds to a positive number, so it
-    # parses, but its two fan triangles cancel exactly.
+    # A bow-tie quad: its shoelace area rounds to a positive number, but its
+    # two fan triangles cancel exactly. The fan is the one area rule, so
+    # the parser names the cell's line.
     text = """4 1
 0.6666666666666666 0.5
 1.0 1.0
@@ -552,9 +552,15 @@ def test_zero_fan_area_rejected():
 4 0 1 2 3
 """
     with pytest.raises(GridFormatError) as err:
-        parse_grid(text)
+        Grid("bow-tie", np.array([[2 / 3, 0.5], [1.0, 1.0], [1.0, 0.5],
+                                  [2 / 3, 1.0]]), np.array([[0, 1, 2, 3]]))
     assert str(err.value) == "cell 0 has non-positive area 0.0"
     assert err.value.line is None
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(text)
+    assert str(err.value) == ("line 6: cell has non-positive area "
+                              "(vertices must be counter-clockwise)")
+    assert err.value.line == 6
 
 
 def test_first_faulty_edge_reported():
@@ -596,7 +602,7 @@ def test_overflowing_geometry_rejected(corners, scale, message):
 
 
 def test_overflowing_shoelace_area_has_line_number():
-    # Shoelace products overflow to inf and their difference to NaN, which
+    # Fan-area products overflow to inf and their difference to NaN, which
     # the parser rejects, without a NumPy warning, at that cell's line.
     grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, seed=1))
     text = f"{grid.n_nodes} {grid.n_cells}\n" + "".join(
@@ -622,6 +628,20 @@ def test_first_bad_cell_line_reported():
         parse_grid(text)
     assert str(err.value) == "line 6: repeated vertex in cell (0, 0, 1)"
     assert err.value.line == 6
+
+
+@pytest.mark.parametrize("cells, message", [
+    ("4 0 3 2 1\n4 0 1 2 9\n",
+     "cell has non-positive area (vertices must be counter-clockwise)"),
+    ("4 0 1 2 9\n4 0 3 2 1\n", "vertex index 9 out of range [0, 4)"),
+], ids=["area-first", "index-first"])
+def test_first_bad_cell_line_wins_over_area(cells, message):
+    # The line parser tests the cells' areas together, but only those
+    # before its first otherwise faulty line.
+    text = UNIT_QUAD.replace("4 1\n", "4 2\n").replace("4 0 1 2 3\n", cells)
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(text)
+    assert str(err.value) == f"line 6: {message}"
 
 
 def test_bad_node_line_wins_over_later_bad_cell_line():
@@ -687,6 +707,21 @@ def vertex(token):
     return MIXED.replace("4 0 1 4 3\n", f"4 0 1 4 {token}\n")
 
 
+def triangle(*corners):
+    return "3 1\n" + "".join(f"{x!r} {y!r}\n" for x, y in corners) + "3 0 1 2\n"
+
+
+# Triangles on which the shoelace area and the fan area from vertex 0
+# disagree in sign: shoelace 0.0 and fan +1.2e-9, shoelace +1.1e-13 and fan
+# -6.8e-15. The fan decides.
+FAN_POSITIVE = triangle((-20068755.773909453, 22581898.38048783),
+                        (-20068755.282541193, 22581896.741630685),
+                        (-20068755.022497073, 22581895.874307342))
+FAN_NEGATIVE = triangle((78.34221408903144, 17.032587978181613),
+                        (78.07259376168953, 16.78902929910251),
+                        (77.95308895132821, 16.681075889053133))
+
+
 def coordinate(token):
     return MIXED.replace("\n0.0 0.0\n", f"\n{token} 0.0\n")
 
@@ -730,6 +765,12 @@ def coordinate(token):
     MIXED.replace("9 6\n", "9 6\n\n"),
     MIXED.replace("9 6\n", "9 6 0\n"),
     MIXED.replace("4 1 2 5 4\n", "4 1 2 5\n"),
+    MIXED.replace("4 0 1 4 3\n", "4 0 1 2 -1\n"),
+    MIXED.replace("4 0 1 4 3\n", "4 0 1 2 9\n"),
+    vertex("1"),
+    MIXED.replace("4 0 1 4 3\n", "4 0 1 1 3\n"),
+    FAN_POSITIVE,
+    FAN_NEGATIVE,
 ], ids=[
     "plain", "index-plus", "index-leading-zeros", "index-minus-zero",
     "index-underscore", "index-underscore-valid", "index-2**63",
@@ -742,11 +783,20 @@ def coordinate(token):
     "non-ascii-name",
     "trailing-blank-lines", "no-final-newline", "crlf", "tabs",
     "extra-blanks", "blank-line-after-header", "long-header",
-    "short-cell-line",
+    "short-cell-line", "index-minus-one", "index-past-last",
+    "repeated-opposite", "repeated-adjacent", "fan-positive", "fan-negative",
 ])
 def test_bulk_parse_matches_line_parse(text):
     assert parse_outcome(parse_grid, text) == parse_outcome(
         lambda t: _parse_lines(t, ""), text)
+
+
+def test_fan_area_decides():
+    assert parse_grid(FAN_POSITIVE).areas[0] > 0.0
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(FAN_NEGATIVE)
+    assert str(err.value) == ("line 5: cell has non-positive area "
+                              "(vertices must be counter-clockwise)")
 
 
 @pytest.mark.parametrize("layout", [

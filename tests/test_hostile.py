@@ -3,14 +3,16 @@ tri-irregular grids with tokens replaced by extreme values, all coordinates
 scaled to extreme magnitudes, and lines duplicated, deleted or swapped.
 Every file must give a documented exit code and never a traceback, a
 ``nan`` in the CSV row, or a VTK file that differs from the reference
-writer's."""
+writer's; and the parser must give the line parser's outcome."""
 
 import contextlib
 import io
 import random
 
-from gridgauge import GenSpec, generate, grid_to_text, load_grid
+from gridgauge import GenSpec, generate, grid_to_text, load_grid, parse_grid
 from gridgauge.cli import main
+from gridgauge.grid import _parse_lines
+from tests.test_grid import parse_outcome
 from tests.reference_vtk import write_analyze_reference
 
 TOKENS = ("0", "-0", "1e308", "-1e308", "1e-320", "nan", "inf", "-inf")
@@ -71,6 +73,8 @@ def run(argv):
 def test_hostile_corpus(tmp_path):
     codes = {}
     for name, text in corpus():
+        assert parse_outcome(parse_grid, text) == parse_outcome(
+            lambda t: _parse_lines(t, ""), text), name
         path, vtk = tmp_path / f"{name}.txt", tmp_path / f"{name}.vtk"
         path.write_text(text, encoding="utf-8")
         code, out = run(["analyze", str(path), "--stencil", "vertex",

@@ -165,6 +165,40 @@ def test_coefficient_table_equals_full_table(spec):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("mode", ["face", "vertex"])
+@pytest.mark.parametrize("kind",
+                         ["quad", "quad_ar", "tri_regular", "tri_irregular"])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(nx=st.integers(3, 7), ny=st.integers(3, 7),
+       aspect_ratio=st.floats(0.25, 8.0), perturb=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**32 - 1))
+def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
+    # The abstract's first claim. With M the normal matrix and s the sum of
+    # w_k^2 d_k, each coefficient vector c_k = M^-1 w_k^2 (dx_k, dy_k) has
+    # |c_k| >= w_k^2 d_k / lambda_max(M), so sum_k |c_k| >= s / lambda_max
+    # >= s / |M|_F = F.
+    grid = generate(GenSpec(kind=kind, **spec))
+    table = lsq.lsq_table(grid, p, mode)
+    row = np.repeat(np.arange(grid.n_cells), np.diff(table.indptr))
+    dx, dy = (grid.centroids[table.indices] - grid.centroids[row]).T
+    d = np.hypot(dx, dy)
+    w2 = d ** (-2 * p)
+
+    def rowsum(v):
+        return np.bincount(row, weights=v, minlength=grid.n_cells)
+
+    m11, m12, m22 = rowsum(w2 * dx * dx), rowsum(w2 * dx * dy), rowsum(
+        w2 * dy * dy)
+    lam_max = (m11 + m22) / 2.0 + np.hypot((m11 - m22) / 2.0, m12)
+    total = rowsum(np.hypot(table.cx, table.cy))
+    ok = ~table.degenerate
+    assert ok.any()
+    floor = 1.0 - 1e-12
+    assert (total[ok] >= table.f[ok] * floor).all()
+    assert (total[ok] >= rowsum(w2 * d)[ok] / lam_max[ok] * floor).all()
+
+
 def math_hypot(x, y):
     return np.array(list(map(math.hypot, x.tolist(), y.tolist())), float)
 

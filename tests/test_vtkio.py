@@ -143,3 +143,17 @@ def test_title_is_one_line(title, line):
     write_vtk_reference(want, grid, {}, title)
     assert got.getvalue().split("\n")[1:3] == [line, "ASCII"]
     assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("name, size, message", [
+    ("", 9, "cell field name '' is empty or holds whitespace"),
+    ("my field", 9, "cell field name 'my field' is empty or holds whitespace"),
+    ("tab\there", 9, r"cell field name 'tab\\there' is empty or holds "
+                     "whitespace"),
+    ("F", 8, "cell field 'F' has 8 values for 9 cells"),
+])
+def test_bad_cell_field_rejected(name, size, message):
+    # A SCALARS line holds the name as one token, then one value per cell.
+    grid = generate(GenSpec(kind="quad", nx=4, ny=4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_vtk(io.StringIO(), grid, {name: np.zeros(size)})
