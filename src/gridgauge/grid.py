@@ -37,6 +37,20 @@ _LONE_SIGN = re.compile(rb"[+-](?![0-9])")
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 # Every line break of str.splitlines, CRLF first so that it is one break.
 _BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# cell_lines: its 8-byte words of the vertex counts 3 and 4 and of LF, and
+# the table that turns its "\x01<index>   " node words into " <index>\0\0\0".
+_LINE_WORDS = np.frombuffer(b"3\0\0\0\0\0\0\0" b"4\0\0\0\0\0\0\0"
+                            b"\n\0\0\0\0\0\0\0", np.uint64)
+_NODE_WORD = bytes.maketrans(b"\x01 ", b" \0")
+
+
+class _CellFault(GridFormatError):
+    """A fault of one cell's own vertices, which :func:`_parse_lines` places
+    on that cell's line."""
+
+    def __init__(self, fault, cell):
+        super().__init__(f"cell {cell} {fault}")
+        self.cell = cell
 
 
 @dataclass
@@ -404,7 +418,11 @@ def _parse_lines(text, name):
         )
     if fault:
         raise fault
-    return Grid(name, nodes, cell_nodes)
+    try:
+        return Grid(name, nodes, cell_nodes)
+    except _CellFault as exc:
+        raise GridFormatError(
+            str(exc), line=data_lines[1 + n_nodes + exc.cell][0]) from None
 
 
 def write_grid(grid, stream):
@@ -429,11 +447,32 @@ def one_line(text):
 
 def cell_lines(grid):
     """One string of the lines "<nverts> v1 ... vn" of all cells, as grid
-    and VTK files list them."""
-    line = [f"{k}{' %d' * k}\n" for k in range(5)]
-    verts = grid.cell_nodes[grid.cell_nodes >= 0]
-    return "".join(map(line.__getitem__, grid.cell_nverts.tolist())) \
-        % tuple(verts.tolist())
+    and VTK files list them.
+
+    Each node index from the least to the greatest the cells use is
+    formatted once, as a word of " <index>" padded with NUL bytes to a
+    multiple of 8 bytes. A row of the count word, the cell's four node
+    words (the padding -1 picks a word of NULs) and a LF word is then the
+    cell's line once the NULs are deleted."""
+    cells = grid.cell_nodes
+    if not len(cells):
+        return ""
+    # Viewed unsigned, the padding -1 is the greatest entry.
+    lo, top = int(cells.view(np.uintp).min()), int(cells.max()) + 1
+    width = -(-(len(str(top - 1)) + 1) // 8) * 8
+    # "\x01" stands for the leading space until the padding spaces are NULs.
+    text = f"\x01%-{width - 1}d" * (top - lo) % tuple(range(lo, top))
+    # Row 0 is the word of NULs; index i is row i - lo + 1.
+    words = np.zeros((top - lo + 1, width // 8), np.uint64)
+    words[1:] = np.frombuffer(text.encode("ascii").translate(_NODE_WORD),
+                              np.uint64).reshape(top - lo, -1)
+    rows = np.empty((len(cells), 4 * width // 8 + 2), np.uint64)
+    rows[:, 0] = _LINE_WORDS[grid.cell_nverts - 3]
+    # Clipped, the padding picks row 0.
+    rows[:, 1:-1] = np.take(words, cells - (lo - 1), axis=0,
+                            mode="clip").reshape(len(rows), -1)
+    rows[:, -1] = _LINE_WORDS[2]
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def grid_to_text(grid):
@@ -493,21 +532,22 @@ def derive_geometry(grid):
     a, b = cell_nodes[valid], np.where(end >= 0, end, cell_nodes[:, :1])[valid]
     cell = np.repeat(np.arange(len(nverts)), nverts)
     key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
-    _, first, group, count = np.unique(key, return_index=True,
-                                       return_inverse=True, return_counts=True)
-    by_group = np.argsort(group, kind="stable")
-    group_start = np.cumsum(count) - count
-    second = by_group[group_start[count > 1] + 1]
-    third = by_group[group_start[count > 2] + 2]
-    order = np.argsort(first)
-    face = np.argsort(order)[group]     # face number of every edge
-    first = first[order]
+    # The edges grouped by key, each group in discovery order.
+    perm = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[perm], prepend=-1))
+    count = np.diff(start, append=len(key))
+    second = perm[start[count > 1] + 1]
+    third = perm[start[count > 2] + 2]
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[perm[start]] = True
+    first = np.flatnonzero(is_first)
+    # The face of each second edge.
+    face = (np.cumsum(is_first) - 1)[perm[start[count > 1]]]
 
     na, nb = a[first], b[first]
     dx, dy = x[nb] - x[na], y[nb] - y[na]
     length = _hypot(dx, dy)
-    twice = second[(a[second] == na[face[second]])
-                   & (b[second] == nb[face[second]])]
+    twice = second[(a[second] == na[face]) & (b[second] == nb[face])]
     faults = {"zero": first[length == 0.0], "twice": twice, "thrice": third}
     faults = [(int(e.min()), kind) for kind, e in faults.items() if len(e)]
     if faults:
@@ -519,21 +559,20 @@ def derive_geometry(grid):
             raise GridFormatError(f"zero-length edge {pair} in cell {j}")
         if kind == "thrice":
             raise GridFormatError(f"edge {pair} shared by more than two cells")
+        owner = int(cell[first[face[second == i]][0]])
         raise GridFormatError(
             f"edge {pair} traversed twice in the same direction "
-            f"(cells {int(cell[first[face[i]]])} and {j} overlap or are "
-            f"flipped)"
+            f"(cells {owner} and {j} overlap or are flipped)"
         )
     bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
     if len(bad):
-        raise GridFormatError(f"cell {int(bad[0])} has a non-finite centroid")
+        raise _CellFault("has a non-finite centroid", int(bad[0]))
     bad = np.flatnonzero(underflow)
     if len(bad):
-        raise GridFormatError(f"cell {int(bad[0])} has a centroid that "
-                              "underflows")
+        raise _CellFault("has a centroid that underflows", int(bad[0]))
 
     neighbor = np.full(len(first), -1, dtype=np.intp)
-    neighbor[face[second]] = cell[second]
+    neighbor[face] = cell[second]
     grid.centroids = centroids
     grid.areas = area
     grid.face_arrays = FaceArrays(

@@ -146,6 +146,9 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     fg = (np.empty(n), np.empty(n)) if measures else (None, None)
     table = LsqTable(np.empty(n, dtype=bool), *fg,
                      indptr, indices, np.empty(nnz), np.empty(nnz))
+    # G's factors per cell: the farthest neighbor distance and the bump's
+    # gradient, whose norm is taken once for the table.
+    smax, gx, gy = (np.empty(n) if measures else None for _ in range(3))
     for lo in range(0, n, BLOCK):
         rows = slice(lo, min(lo + BLOCK, n))
         flat = slice(indptr[rows.start], indptr[rows.stop])
@@ -178,15 +181,20 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
             if measures:
                 # G: gradient of the bump exp(-(x^2 + y^2)) in offsets
                 # scaled by the farthest neighbor distance.
-                smax = np.zeros(len(length))
-                np.maximum.at(smax, row, d)
-                x, y = dx / smax[row], dy / smax[row]
-                bump = np.fromiter(map(math.exp, (-(x * x + y * y)).tolist()),
-                                   float, len(x))
-                gx, gy = (rowsum(c * (bump - 1.0)) for c in (cx, cy))
+                far = np.zeros(len(length))
+                np.maximum.at(far, row, d)
+                x, y = dx / far[row], dy / far[row]
+                q = -(x * x + y * y)
+                bump = np.fromiter(map(math.exp, memoryview(q)), float, len(q))
+                smax[rows] = far
+                gx[rows], gy[rows] = (rowsum(c * (bump - 1.0))
+                                      for c in (cx, cy))
                 s = rowsum(w2 * d)
                 table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
-                table.g[rows] = np.where(bad, np.nan, smax * _hypot(gx, gy))
         table.degenerate[rows] = bad
         table.cx[flat], table.cy[flat] = cx, cy
+    if measures:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table.g[:] = np.where(table.degenerate, np.nan,
+                                  smax * _hypot(gx, gy))
     return table

@@ -227,20 +227,26 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
                       permc_spec="NATURAL", diag_pivot_thresh=0.0)
     upper = spla.splu(sp.triu(jac, format="csc"),
                       permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    # The factors' bits depend on J's stored zeros, so they are built first.
+    # A CSR matvec adds each row from +0.0, so its sums never turn -0.0, and
+    # on finite vectors the zero products it drops add nothing.
+    for m in (jac, op.kx, op.ky):
+        m.eliminate_zeros()
 
     status = "not-converged"
+    b, r, mag = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(spec.max_outer):
-        b = -res
-        bnorm = float(np.abs(b).sum())
+        np.negative(res, out=b)
+        bnorm = float(np.abs(b, out=mag).sum())
         delta = np.zeros(n)
-        r = b.copy()
+        r[:] = b
         for _ in range(spec.max_sweeps):
             delta += lower.solve(r)
-            r = b - jac @ delta
+            np.subtract(b, jac @ delta, out=r)
             delta += upper.solve(r)
-            r = b - jac @ delta
+            np.subtract(b, jac @ delta, out=r)
             work += 0.5
-            if float(np.abs(r).sum()) <= INNER_REDUCTION * bnorm:
+            if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:
                 break
 
         u = u + delta

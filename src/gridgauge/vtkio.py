@@ -20,14 +20,21 @@ that text for a whole array with NumPy alone, bit for bit:
 * Every other value (0, -0, subnormals, |x| < 1e-4 or >= 1e16, inf,
   nan) is formatted by one ``%`` call over its distinct bit patterns and
   written into its own row.
+
+The CELLS block comes from :func:`gridgauge.grid.cell_lines`, which the
+grid files share: one ``%`` call formats each node index once into a table
+of NUL-padded " <index>" words, the cells' rows gather them, and the NULs
+are deleted as above. The CELL_TYPES block is the two-byte words "5\\n"
+and "9\\n" gathered by vertex count.
 """
 
 import numpy as np
 
 from .grid import _dl_split, cell_lines, one_line
 
-_VTK_TRIANGLE = 5
-_VTK_QUAD = 9
+# The CELL_TYPES lines of triangles (VTK_TRIANGLE) and quads (VTK_QUAD) as
+# two-byte words, picked by vertex count - 3.
+_CELL_TYPES = np.frombuffer(b"5\n9\n", np.uint16)
 
 _BLOCK = 1 << 14                    # values per block: bounds the temporaries
 _KMIN, _NK = -4, 20                 # fast-range decimal exponents -4..15
@@ -90,8 +97,7 @@ def _write(out, grid, cell_data, title):
     out.write(f"CELLS {n} {int(nverts.sum()) + n}\n")
     out.write(cell_lines(grid))
     out.write(f"CELL_TYPES {n}\n")
-    out.write("".join(np.where(nverts == 3, f"{_VTK_TRIANGLE}\n",
-                               f"{_VTK_QUAD}\n").tolist()))
+    out.write(_CELL_TYPES[nverts - 3].tobytes().decode("ascii"))
 
     if cell_data:
         out.write(f"CELL_DATA {n}\n")

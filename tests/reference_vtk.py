@@ -1,6 +1,6 @@
-"""The reference VTK writer: every float formatted by ``%`` one value at a
-time, as ``gridgauge.vtkio`` did before its array formatter. Tests compare
-the library's output with it byte for byte.
+"""The reference VTK writer: every float and every node index formatted by
+``%`` one value at a time, as ``gridgauge.vtkio`` did before its array
+formatters. Tests compare the library's output with it byte for byte.
 
     python tests/reference_vtk.py GRID [--p 0|1] [--stencil face|vertex] -o OUT
 
@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from gridgauge import load_grid
-from gridgauge.grid import cell_lines
 from gridgauge.measures import analyze
 
 
@@ -23,6 +22,14 @@ def percent_format(values, suffixes):
     values = np.asarray(values, dtype=float).ravel()
     pattern = "".join("%.17g" + s for s in suffixes)
     return (pattern * (values.size // len(suffixes))) % tuple(values.tolist())
+
+
+def cell_lines(grid):
+    """The lines "<nverts> v1 ... vn" of all cells, one ``%d`` per index."""
+    line = [f"{k}{' %d' * k}\n" for k in range(5)]
+    verts = grid.cell_nodes[grid.cell_nodes >= 0]
+    return "".join(map(line.__getitem__, grid.cell_nverts.tolist())) \
+        % tuple(verts.tolist())
 
 
 def one_line(text):

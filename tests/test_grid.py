@@ -586,6 +586,113 @@ def test_first_faulty_edge_reported():
     assert str(err.value) == "edge (0, 1) shared by more than two cells"
 
 
+def unique_faces(nodes, cell_nodes):
+    """Face discovery by np.unique, as derive_geometry did it before its one
+    stable sort: the FaceArrays fields, or the message of the first faulty
+    edge in discovery order."""
+    nverts = (cell_nodes[:, 3] >= 0) + 3
+    x, y = nodes[:, 0], nodes[:, 1]
+    end, valid = np.roll(cell_nodes, -1, 1), cell_nodes >= 0
+    a, b = cell_nodes[valid], np.where(end >= 0, end, cell_nodes[:, :1])[valid]
+    cell = np.repeat(np.arange(len(nverts)), nverts)
+    key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
+    _, first, group, count = np.unique(key, return_index=True,
+                                       return_inverse=True, return_counts=True)
+    group = group.ravel()
+    by_group = np.argsort(group, kind="stable")
+    group_start = np.cumsum(count) - count
+    second = by_group[group_start[count > 1] + 1]
+    third = by_group[group_start[count > 2] + 2]
+    order = np.argsort(first)
+    face = np.argsort(order)[group]
+    first = first[order]
+    na, nb = a[first], b[first]
+    dx, dy = x[nb] - x[na], y[nb] - y[na]
+    length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    twice = second[(a[second] == na[face[second]])
+                   & (b[second] == nb[face[second]])]
+    faults = {"zero": first[length == 0.0], "twice": twice, "thrice": third}
+    faults = [(int(e.min()), kind) for kind, e in faults.items() if len(e)]
+    if faults:
+        i, kind = min(faults)
+        pair = (int(min(a[i], b[i])), int(max(a[i], b[i])))
+        j = int(cell[i])
+        if kind == "zero":
+            return f"zero-length edge {pair} in cell {j}"
+        if kind == "thrice":
+            return f"edge {pair} shared by more than two cells"
+        return (f"edge {pair} traversed twice in the same direction (cells "
+                f"{int(cell[first[face[i]]])} and {j} overlap or are flipped)")
+    neighbor = np.full(len(first), -1, dtype=np.intp)
+    neighbor[face[second]] = cell[second]
+    return {"node_a": na, "node_b": nb, "owner": cell[first],
+            "neighbor": neighbor,
+            "normal": np.column_stack([dy / length, -dx / length]),
+            "length": length,
+            "midpoint": np.column_stack([(x[na] + x[nb]) / 2.0,
+                                         (y[na] + y[nb]) / 2.0])}
+
+
+def face_outcome(nodes, cell_nodes):
+    """derive_geometry's FaceArrays fields, or its error message."""
+    try:
+        fa = Grid("g", nodes, cell_nodes).face_arrays
+    except GridFormatError as exc:
+        return str(exc)
+    return {name: getattr(fa, name) for name in (
+        "node_a", "node_b", "owner", "neighbor", "normal", "length",
+        "midpoint")}
+
+
+FAULTS = ("zero-length edge", "shared by more than two cells",
+          "traversed twice in the same direction")
+
+
+def fault_tables(grid, rng):
+    """Cell tables of grid with a copy of its first cell (edges traversed
+    twice in one direction, or by three cells) and with a copy of an
+    interior cell; for quads, also with node 1 moved onto node 0, which
+    makes a zero-length edge in a cell of positive area (in a triangle the
+    area would be 0)."""
+    fa = grid.face_arrays
+    inner = np.flatnonzero(np.bincount(fa.owner[fa.neighbor < 0],
+                                       minlength=grid.n_cells) == 0)
+    cases = [
+        (grid.nodes, np.vstack([grid.cell_nodes, grid.cell_nodes[:1]])),
+        (grid.nodes, np.vstack([grid.cell_nodes,
+                                grid.cell_nodes[rng.choice(inner)][None]])),
+    ]
+    if grid.cell_nverts[0] == 4:
+        nodes = grid.nodes.copy()
+        nodes[1] = nodes[0]
+        cases.append((nodes, grid.cell_nodes))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["quad", "quad_ar", "tri_regular",
+                                  "tri_irregular"])
+def test_face_discovery_matches_unique_reference(kind):
+    rng = np.random.default_rng(18)
+    grid = generate(GenSpec(kind=kind, nx=9, ny=7, seed=3))
+    table = grid.cell_nodes
+    for _ in range(4):
+        got = face_outcome(grid.nodes, table)
+        want = unique_faces(grid.nodes, table)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+        table = table[rng.permutation(len(table))]
+    seen = set()
+    for nodes, table in fault_tables(grid, rng):
+        for _ in range(4):
+            got = face_outcome(nodes, table)
+            assert got == unique_faces(nodes, table)
+            seen.update(fault for fault in FAULTS if fault in got)
+            table = table[rng.permutation(len(table))]
+    # Each fault the grid's cells can have is reached.
+    assert seen == set(FAULTS if kind.startswith("quad") else FAULTS[1:])
+
+
 @pytest.mark.parametrize("corners, scale, message", [
     # Both fan products overflow to inf: the area is inf - inf = NaN.
     ([[0, 0], [2, 1], [1, 2]], 1e160, "cell 0 has non-positive area nan"),
@@ -599,6 +706,24 @@ def test_overflowing_geometry_rejected(corners, scale, message):
     with pytest.raises(GridFormatError) as err:
         Grid("huge", nodes, np.array([[0, 1, 2, -1]]))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # Finite fan area, overflowing centroid sums.
+    ("3 1\n0 0\n1e160 0\n0 1e140\n3 0 1 2\n",
+     "line 5: cell 0 has a non-finite centroid"),
+    ("3 1\n0 0\n1e-110 0\n0 1e-110\n3 0 1 2\n",
+     "line 5: cell 0 has a centroid that underflows"),
+    # An edge fault comes before a centroid fault, and names no line.
+    ("3 2\n0 0\n1e160 0\n0 1e140\n3 0 1 2\n3 0 1 2\n",
+     "edge (0, 1) traversed twice in the same direction (cells 0 and 1 "
+     "overlap or are flipped)"),
+])
+def test_centroid_fault_has_line_number(text, message):
+    for parse in (parse_grid, lambda t: _parse_lines(t, "")):
+        with pytest.raises(GridFormatError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_overflowing_shoelace_area_has_line_number():

@@ -9,7 +9,10 @@ import contextlib
 import io
 import random
 
-from gridgauge import GenSpec, generate, grid_to_text, load_grid, parse_grid
+import pytest
+
+from gridgauge import (GenSpec, GridFormatError, generate, grid_to_text,
+                       load_grid, parse_grid)
 from gridgauge.cli import main
 from gridgauge.grid import _parse_lines
 from tests.test_grid import parse_outcome
@@ -90,3 +93,13 @@ def test_hostile_corpus(tmp_path):
         codes[code] = codes.get(code, 0) + 1
     # The corpus reaches the writer and the input checks alike.
     assert codes.get(0, 0) >= 30 and codes.get(3, 0) >= 100, codes
+
+
+@pytest.mark.parametrize("name", ["quad-8", "quad-15", "quad-88", "quad-94",
+                                  "quad-145"])
+def test_centroid_overflow_has_line_number(name):
+    # Scaled by 1e160: the first cell's fan area is finite, its centroid
+    # sums are not.
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(dict(corpus())[name])
+    assert str(err.value) == "line 28: cell 0 has a non-finite centroid"

@@ -1,12 +1,15 @@
-"""The VTK writer's array formatter against ``%``, value by value.
+"""The VTK writer's array formatters against ``%``, value by value.
 
 ``vtkio._format`` must return exactly the ``%.17g`` text of every float64:
 both sides of the fast range, every binary exponent, subnormals, signed
 zeros, infinities, nan, the neighbors of powers of ten and exact ties.
+``grid.cell_lines`` must return the ``%d`` text of every cell line, at
+every width of its node words.
 """
 
 import io
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgauge import GenSpec, generate, write_vtk
+from gridgauge.grid import cell_lines
 from gridgauge.lsq import lsq_table
 from gridgauge.vtkio import _BLOCK, _format
-from tests.reference_vtk import percent_format, write_vtk_reference
+from tests.reference_vtk import (cell_lines as percent_cell_lines,
+                                 percent_format, write_vtk_reference)
 
 POINT_SUFFIXES = (" ", " 0\n")
 SCALAR_SUFFIXES = ("\n",)
@@ -118,6 +123,32 @@ def test_format_matches_percent_on_any_floats(values, points):
                                     POINT_SUFFIXES)
     else:
         assert_formats_like_percent(values)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_cell_lines_match_percent_at_digit_boundaries(k, below, data):
+    """Node counts 10^k - 1 and 10^k, so that the greatest index has k or k
+    - 1 digits, on either side of each node-word width. The cells use the
+    last 2,000 node numbers and the last node; a stub stands for a grid of
+    up to 10^8 nodes."""
+    n = 10 ** k - below
+    nverts = data.draw(st.lists(st.sampled_from((3, 4)), max_size=30))
+    table = np.full((len(nverts), 4), -1, np.intp)
+    for j, m in enumerate(nverts):
+        table[j, :m] = data.draw(st.lists(
+            st.integers(max(0, n - 2000), n - 1), min_size=m, max_size=m))
+    if nverts:
+        table[data.draw(st.integers(0, len(nverts) - 1)), 0] = n - 1
+    grid = SimpleNamespace(n_nodes=n, cell_nodes=table,
+                           cell_nverts=np.array(nverts, dtype=np.intp))
+    assert cell_lines(grid) == percent_cell_lines(grid)
+
+
+def test_cell_lines_match_percent_on_generated_grids():
+    for kind in ("quad", "quad_ar", "tri_regular", "tri_irregular"):
+        grid = generate(GenSpec(kind=kind, nx=40, ny=27, seed=5))
+        assert cell_lines(grid) == percent_cell_lines(grid)
 
 
 def test_write_vtk_equals_reference_writer():
