@@ -19,6 +19,17 @@ propagates the error by -J^-1 (Kx Gx + Ky Gy). The linear systems are
 relaxed with symmetric point-implicit (forward/backward) sweeps until the
 inner residual drops tenfold or the sweep cap is hit.
 
+Each sweep solves one triangle of J exactly. J's off-diagonal nonzeros are
+the upwind neighbors, so a triangle's strict part is often only a few levels
+deep (level scheduling, Anderson & Saad, Int. J. High Speed Computing 1(1),
+1989): at theta = 30 the upper triangle is diagonal on quad grids and 1 or 3
+levels deep on triangle grids. A triangle at most MAX_LEVELS deep is solved
+level by level in NumPy, x = r / D and then, level after level,
+x[rows] = (r[rows] - S[rows] @ x) / D[rows], with D the diagonal and S the
+zero-free strict part; each row is summed from +0.0 in ascending column
+order, which rests on IEEE arithmetic alone. A deeper triangle goes to
+SuperLU, factored once with J's stored zeros, whose bits it depends on.
+
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
 one residual evaluation.
@@ -36,6 +47,13 @@ from .lsq import check_stencils, lsq_table
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
+# The deepest sweep triangle solved level by level; a deeper one goes to
+# SuperLU. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
+# SuperLU -> levels: 129^2 nodes depth 3 479 -> 87 us, depth 14 776 -> 359;
+# 65^2 depth 12 119 -> 96; 33^2 depth 3 45 -> 18, depth 12 29 -> 66; 17^2
+# depth 2 9 -> 10, depth 9 9 -> 42. A level costs about 5 us up to 33^2 and
+# 20 us at 129^2, so 8 levels win from 65^2 up and lose some 30 us below.
+MAX_LEVELS = 8
 
 
 def exact_solution(x, y):
@@ -190,6 +208,65 @@ def jacobian_low_order(grid, theta):
     return _Advection(grid, theta, first_order=True).jac
 
 
+class _LevelSolve:
+    """The level-by-level solve of a triangle D + S (module docstring), with
+    (rows, S[rows], D[rows]) per level from 1 up. S[rows] @ x is SciPy's CSR
+    matvec, which sums each row from +0.0 in ascending column order."""
+
+    def __init__(self, diag, strict, level):
+        self.diag = diag
+        self.parts = []
+        for k in range(1, int(level.max(initial=0)) + 1):
+            rows = np.flatnonzero(level == k)
+            self.parts.append((rows, strict[rows], diag[rows]))
+
+    def solve(self, r):
+        x = r / self.diag
+        for rows, part, diag in self.parts:
+            x[rows] = (r[rows] - part @ x) / diag
+        return x
+
+
+def _levels(strict):
+    """The level of each row of a zero-free strict triangle (CSR): 0 for a
+    row without entries, else one more than the deepest level it reads.
+    None when some row is deeper than MAX_LEVELS.
+
+    After k rounds of level = 1 + max(level[cols]) from all zeros, each
+    row holds min(its level, k), so a round that changes nothing ends it.
+    """
+    n = strict.shape[0]
+    level = np.zeros(n, dtype=np.intp)
+    if strict.nnz == 0:
+        return level
+    nonempty = np.flatnonzero(np.diff(strict.indptr))
+    starts = strict.indptr[nonempty]
+    for _ in range(MAX_LEVELS + 1):
+        deeper = np.zeros(n, dtype=np.intp)
+        deeper[nonempty] = np.maximum.reduceat(level[strict.indices] + 1,
+                                               starts)
+        if np.array_equal(deeper, level):
+            return level
+        level = deeper
+    return None
+
+
+def _triangle_solver(tri):
+    """A solver of one sweep triangle of J, given in CSC with J's stored
+    zeros: a _LevelSolve when its strict part is at most MAX_LEVELS levels
+    deep, else SuperLU's factor of ``tri`` as given. Both have solve(r)."""
+    import scipy.sparse.linalg as spla
+
+    strict = tri.tocsr()
+    strict.setdiag(0.0)
+    strict.eliminate_zeros()
+    strict.sort_indices()
+    level = _levels(strict)
+    if level is None:
+        return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return _LevelSolve(tri.diagonal(), strict, level)
+
+
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     """Drive the second-order residual to spec.tolerance (relative L1).
 
@@ -201,7 +278,6 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     non-finite one, stops the solve as diverged.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     spec.validate()
 
@@ -223,11 +299,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         return SolveReport("diverged", history, work_history, u)
 
     jac = op.jac
-    lower = spla.splu(sp.tril(jac, format="csc"),
-                      permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    upper = spla.splu(sp.triu(jac, format="csc"),
-                      permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    # The factors' bits depend on J's stored zeros, so they are built first.
+    lower = _triangle_solver(sp.tril(jac, format="csc"))
+    upper = _triangle_solver(sp.triu(jac, format="csc"))
+    # SuperLU's bits depend on J's stored zeros, so the solvers come first.
     # A CSR matvec adds each row from +0.0, so its sums never turn -0.0, and
     # on finite vectors the zero products it drops add nothing.
     for m in (jac, op.kx, op.ky):

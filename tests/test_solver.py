@@ -23,6 +23,7 @@ from gridgauge import (
 from gridgauge.oracle import apply_gradient, build_stencil, build_system
 from gridgauge import solver
 from gridgauge.cli import main
+from gridgauge.gridgen import KINDS
 
 # frozen from a reference run: quad 33x33, theta=30, p=0, face stencils,
 # tol 1e-10, sweep cap 30
@@ -145,18 +146,22 @@ def test_jacobian_theta_zero_upwind_structure():
     assert jac[j, j + ncx] == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("theta", [0.0, 30.0, 120.0, 245.0])
+@pytest.mark.parametrize("theta", [0.0, 30.0, 45.0, 90.0, 120.0, 180.0, 210.0,
+                                   245.0, 270.0, 300.0, 330.0])
 def test_jacobian_diagonal_nonnegative_and_dominant(theta):
-    grid = generate(GenSpec(kind="tri_irregular", nx=9, ny=9, perturb=0.3, seed=3))
-    jac = jacobian_low_order(grid, theta).toarray()
-    diag = np.diag(jac)
-    assert (diag >= 0.0).all()
-    off = jac - np.diag(diag)
-    assert (off <= 1e-14).all()  # off-diagonals are inflow terms, never positive
-    # diagonal collects outflow, off-diagonals inflow: weak row dominance,
-    # with equality on cells not touching an inflow boundary
-    row_sum = np.abs(off).sum(axis=1)
-    assert (diag - row_sum >= -1e-10).all()
+    for kind in KINDS:
+        grid = generate(GenSpec(kind=kind, nx=9, ny=9, perturb=0.3, seed=3))
+        jac = jacobian_low_order(grid, theta).toarray()
+        diag = np.diag(jac)
+        # A cell of positive area has a face with a.n > 0, so its outflow
+        # is positive: the level solves divide by this diagonal.
+        assert (diag > 0.0).all()
+        off = jac - np.diag(diag)
+        assert (off <= 1e-14).all()  # off-diagonals are inflow terms, never positive
+        # diagonal collects outflow, off-diagonals inflow: weak row dominance,
+        # with equality on cells not touching an inflow boundary
+        row_sum = np.abs(off).sum(axis=1)
+        assert (diag - row_sum >= -1e-10).all()
 
 
 def test_jacobian_pattern_matches_face_adjacency():
@@ -212,7 +217,11 @@ def test_jacobian_golden_digest(kind, theta):
 
 # (exit code, sha256 of solve's history CSV followed by its summary line) on
 # 17x17 grids (tri_irregular: perturb 0.3, seed 42) at theta 30 and the
-# default tolerance; tri_irregular with face stencils diverges.
+# default tolerance; tri_irregular with face stencils diverges. Where a sweep
+# triangle is solved level by level the history's last digits are not
+# SuperLU's, so tri_irregular vertex p0 and tri_regular face p0 and vertex
+# p0 were re-taken when the level solve came in; SOLVE_COUNTS pins their
+# counts apart from the bytes.
 SOLVE_GOLDEN = {
     ("quad", "face", 0): (0, "030ed878da39cf2a28a3d9cc022dc5b2"
                              "22fe98875506894b92b37c52fa12e4f4"),
@@ -226,16 +235,16 @@ SOLVE_GOLDEN = {
                                       "b9feec321fc21f424b5be2c304a03a01"),
     ("tri_irregular", "face", 1): (4, "37064fff9c23f3711992c924a0de7f6f"
                                       "a558624732027fd731fabf404c4788a4"),
-    ("tri_irregular", "vertex", 0): (0, "c08644b2c34d30d491b31108c3e75b2b"
-                                        "f47e775e20db9ab12ae8aaace582c5d5"),
+    ("tri_irregular", "vertex", 0): (0, "630cfd0a8533c1e2e37744c220fbcb24"
+                                        "7eb285e3c69408f826566cf21c519024"),
     ("tri_irregular", "vertex", 1): (0, "12e0f90332da74047a77c8d0a3749f68"
                                         "459a1bf44e4942ddaee9b58cd0fa3314"),
-    ("tri_regular", "face", 0): (0, "807cbe30a4ca449ce0f2a3604bed5957"
-                                    "ae49c602f8c0c317450496060ff9737c"),
+    ("tri_regular", "face", 0): (0, "362261f9c135017e0d62dd884ce4437c"
+                                    "be7a409c006485112ffa0d6c07d6d633"),
     ("tri_regular", "face", 1): (0, "6cea381456456654c51ae8ebc527508a"
                                     "87d5e4b67e194a0ce861549a372260b4"),
-    ("tri_regular", "vertex", 0): (0, "9f8e5ccb97c028f7ba9b1969a5b30a84"
-                                      "3e37d92b70331e644f013966de9dc4e2"),
+    ("tri_regular", "vertex", 0): (0, "a3f922faffc3762e218ecdcb1f78c699"
+                                      "5cf41e2dfb5094936b213aa51225ddd0"),
     ("tri_regular", "vertex", 1): (0, "43b7059d6283c5f09a422d991228fe65"
                                       "abf63628df8ee0cb4e63d6c0e96ef31b"),
 }
@@ -251,6 +260,139 @@ def test_solve_golden_digest(tmp_path, capsys, kind, mode, p):
     summary = capsys.readouterr().out
     digest = hashlib.sha256(history.read_bytes() + summary.encode())
     assert (code, digest.hexdigest()) == SOLVE_GOLDEN[kind, mode, p]
+
+
+# (exit code, status, iterations, work units) of the SOLVE_GOLDEN cases at
+# theta 30, 120 and 210, taken while every sweep triangle went to SuperLU.
+SOLVE_COUNTS = {
+    ("quad", "face", 0, "30"): (0, "converged", 27, 41.5),
+    ("quad", "face", 1, "30"): (0, "converged", 27, 41.5),
+    ("quad", "vertex", 0, "30"): (0, "converged", 24, 37.0),
+    ("quad", "vertex", 1, "30"): (0, "converged", 24, 37.0),
+    ("tri_irregular", "face", 0, "30"): (4, "diverged", None, 56.0),
+    ("tri_irregular", "face", 1, "30"): (4, "diverged", None, 59.5),
+    ("tri_irregular", "vertex", 0, "30"): (0, "converged", 22, 41.0),
+    ("tri_irregular", "vertex", 1, "30"): (0, "converged", 25, 47.5),
+    ("tri_regular", "face", 0, "30"): (0, "converged", 91, 144.0),
+    ("tri_regular", "face", 1, "30"): (0, "converged", 77, 123.0),
+    ("tri_regular", "vertex", 0, "30"): (0, "converged", 19, 47.0),
+    ("tri_regular", "vertex", 1, "30"): (0, "converged", 21, 46.5),
+    ("quad", "face", 0, "120"): (0, "converged", 28, 64.5),
+    ("quad", "face", 1, "120"): (0, "converged", 28, 64.5),
+    ("quad", "vertex", 0, "120"): (0, "converged", 25, 58.0),
+    ("quad", "vertex", 1, "120"): (0, "converged", 25, 58.0),
+    ("tri_irregular", "face", 0, "120"): (4, "diverged", None, 46.5),
+    ("tri_irregular", "face", 1, "120"): (4, "diverged", None, 48.0),
+    ("tri_irregular", "vertex", 0, "120"): (0, "converged", 22, 56.0),
+    ("tri_irregular", "vertex", 1, "120"): (0, "converged", 30, 65.5),
+    ("tri_regular", "face", 0, "120"): (0, "converged", 32, 109.0),
+    ("tri_regular", "face", 1, "120"): (0, "converged", 34, 96.5),
+    ("tri_regular", "vertex", 0, "120"): (0, "converged", 19, 51.5),
+    ("tri_regular", "vertex", 1, "120"): (0, "converged", 20, 58.0),
+    ("quad", "face", 0, "210"): (0, "converged", 27, 41.5),
+    ("quad", "face", 1, "210"): (0, "converged", 27, 41.5),
+    ("quad", "vertex", 0, "210"): (0, "converged", 24, 37.0),
+    ("quad", "vertex", 1, "210"): (0, "converged", 24, 37.0),
+    ("tri_irregular", "face", 0, "210"): (4, "diverged", None, 42.0),
+    ("tri_irregular", "face", 1, "210"): (4, "diverged", None, 43.5),
+    ("tri_irregular", "vertex", 0, "210"): (0, "converged", 21, 43.0),
+    ("tri_irregular", "vertex", 1, "210"): (0, "converged", 23, 47.0),
+    ("tri_regular", "face", 0, "210"): (0, "converged", 64, 104.0),
+    ("tri_regular", "face", 1, "210"): (0, "converged", 56, 95.0),
+    ("tri_regular", "vertex", 0, "210"): (0, "converged", 18, 53.5),
+    ("tri_regular", "vertex", 1, "210"): (0, "converged", 20, 49.5),
+}
+
+
+@pytest.mark.parametrize("kind, mode, p, theta", sorted(SOLVE_COUNTS))
+def test_solve_counts(tmp_path, capsys, kind, mode, p, theta):
+    grid = tmp_path / "g.txt"
+    save_grid(generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42)),
+              grid)
+    code = main(["solve", str(grid), "--stencil", mode, "--p", str(p),
+                 "--theta", theta, "-o", str(tmp_path / "history.csv")])
+    status, _, iters, wu, _ = capsys.readouterr().out.split()
+    iters = iters.removeprefix("iterations=")
+    got = (code, status, None if iters == "n/a" else int(iters),
+           float(wu.removeprefix("work_units=")))
+    assert got == SOLVE_COUNTS[kind, mode, p, theta]
+
+
+def test_solve_digest_with_both_triangles_in_superlu(tmp_path, capsys):
+    # Quad 17x17 at theta 120: both triangles are 15 levels deep, so both
+    # go to SuperLU and the bytes are the ones taken before the level solve.
+    grid, history = tmp_path / "g.txt", tmp_path / "history.csv"
+    save_grid(generate(GenSpec(kind="quad", nx=17, ny=17)), grid)
+    code = main(["solve", str(grid), "--theta", "120", "-o", str(history)])
+    digest = hashlib.sha256(history.read_bytes()
+                            + capsys.readouterr().out.encode())
+    assert code == 0
+    assert digest.hexdigest() == ("6acec7ff13ecf7ebb4761720dfad3d3e"
+                                  "193765e86c57ff5a94836e83bd5d167e")
+
+
+def substitute(tri, r, lower):
+    """Scalar reference for a sweep triangle's solve: each row's level (0
+    without off-diagonal nonzeros, else one more than the deepest row it
+    reads), then row by row in level order x[i] = (r[i] - s) / d[i], with s
+    summed from +0.0 over the row's off-diagonal nonzeros in ascending
+    column order. Returns x and the depth."""
+    dense = tri.toarray()
+    n = len(r)
+    deps = [[j for j in range(n) if j != i and dense[i, j] != 0.0]
+            for i in range(n)]
+    level = [0] * n
+    for i in (range(n) if lower else reversed(range(n))):
+        level[i] = max((level[j] + 1 for j in deps[i]), default=0)
+    x = [0.0] * n
+    for i in sorted(range(n), key=lambda i: level[i]):
+        s = 0.0
+        for j in deps[i]:
+            s += float(dense[i, j]) * x[j]
+        x[i] = (float(r[i]) - s) / float(dense[i, i])
+    return np.array(x), max(level)
+
+
+@pytest.mark.parametrize("theta", [0.0, 30.0, 120.0, 210.0, 300.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_solve_matches_substitution(kind, theta):
+    import scipy.sparse as sp
+
+    grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
+    jac = jacobian_low_order(grid, theta)
+    r = np.random.default_rng(4).uniform(-1.0, 1.0, grid.n_cells)
+    for side, lower in ((sp.tril, True), (sp.triu, False)):
+        tri = side(jac, format="csc")
+        want, depth = substitute(tri, r, lower)
+        got = solver._triangle_solver(tri)
+        assert isinstance(got, solver._LevelSolve) == \
+            (depth <= solver.MAX_LEVELS)
+        if depth <= solver.MAX_LEVELS:
+            assert len(got.parts) == depth
+            assert got.solve(r).tobytes() == want.tobytes()
+
+
+def test_deep_triangle_goes_to_superlu(monkeypatch):
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
+
+    # With a = (cos 120, sin 120) a quad cell reads its east and its south
+    # neighbor, so on 33x33 nodes each triangle is a chain 31 levels deep.
+    jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=33, ny=33)),
+                             120.0)
+    for side in (sp.tril, sp.triu):
+        strict = side(jac, format="csr")
+        strict.setdiag(0.0)
+        strict.eliminate_zeros()
+        assert solver.MAX_LEVELS < 31
+        assert solver._levels(strict) is None
+        assert isinstance(solver._triangle_solver(side(jac, format="csc")),
+                          SuperLU)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "MAX_LEVELS", 31)
+            assert solver._levels(strict).max() == 31
+            m.setattr(solver, "MAX_LEVELS", 30)
+            assert solver._levels(strict) is None
 
 
 def per_face_residual(grid, u, theta, p, mode, first_order):
