@@ -13,7 +13,6 @@ A comment of the form ``# name: <label>`` is recognized by the parser and
 restores the grid's name; all other comments are ignored.
 """
 
-import math
 import re
 import sys
 import warnings
@@ -23,10 +22,6 @@ import numpy as np
 
 from .errors import GridFormatError
 
-# Elements per block of _hypot: its temporaries then stay in the L2 cache.
-_HYPOT_BLOCK = 4096
-# Veltkamp's splitting constant, 2**27 + 1.
-_VELTKAMP = 134217729.0
 # Slot numbers of the padded (n, 4) cell-node table.
 _SLOTS = np.arange(4)
 # The bytes the bulk parser takes after the header line.
@@ -116,74 +111,22 @@ class Grid:
 
 
 def _hypot(x, y):
-    """Elementwise math.hypot of two arrays, bit for bit; np.hypot differs
-    from it in the last ulp on some inputs.
-
-    A NumPy port of CPython's ``vector_norm`` (Modules/mathmodule.c) for two
-    coordinates: scale both magnitudes by 2**-e, e the frexp exponent of the
-    larger; square each exactly (Veltkamp/Dekker ``dl_mul``); add the
-    squares to 1.0 with ``dl_fast_sum``, carrying the rounding errors in
-    two sums; take the square root, apply one differential correction and
-    unscale. Lanes whose larger magnitude is zero, subnormal, at least
-    2**1022, inf or NaN, where the scale would not be a normal number or
-    vector_norm takes another branch, go to math.hypot itself. Integer
-    input is cast to float64, as math.hypot converts it.
-    """
-    x = np.abs(np.asarray(x, dtype=float))
-    y = np.abs(np.asarray(y, dtype=float))
-    out = np.empty(len(x))
-    # The fast formula overflows and divides by zero in the fallback lanes.
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(x), _HYPOT_BLOCK):
-            block = slice(lo, lo + _HYPOT_BLOCK)
-            out[block] = _vector_norm(x[block], y[block])
+    """Elementwise length of the offsets (x, y), arrays or scalars, by the
+    package's one distance rule: m * sqrt(1 + (s / m)**2), m and s the larger
+    and the smaller magnitude, 0 where m is 0, inf where x or y is inf. Each
+    step is one correctly rounded IEEE operation, so the result is the same
+    on every IEEE-754 machine and within 2 ulp of the exact length."""
+    x, y = (np.abs(np.asarray(v, dtype=float)) for v in (x, y))
+    m = np.maximum(x, y)
+    # Overflow gives inf; NaN lanes (0/0, inf/inf, NaN) are settled below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.minimum(x, y) / m
+        out = m * np.sqrt(1.0 + r * r)
+    nan = np.isnan(out)
+    if nan.any():
+        out = np.select([np.isinf(x) | np.isinf(y), m == 0.0, nan],
+                        [np.inf, 0.0, np.nan], out)
     return out
-
-
-def _vector_norm(x, y):
-    """math.hypot of the magnitudes x, y: one block of :func:`_hypot`."""
-    biased = np.maximum(x, y).view(np.int64) >> 52
-    # 2**-e with e = biased - 1022, built from its exponent bits.
-    scale = ((2045 - biased) << 52).view(float)
-    csum, frac1, frac2 = 1.0, 0.0, 0.0
-
-    def add(hi, lo):
-        # dl_fast_sum(csum, hi), then csum = sm.hi, frac1 += pr.lo and
-        # frac2 += sm.lo; the first call adds lo to 0.0, which sets the
-        # sign of a zero as vector_norm does.
-        nonlocal csum, frac1, frac2
-        total = csum + hi
-        frac1 = frac1 + lo
-        frac2 = frac2 + (hi - (total - csum))
-        csum = total
-
-    for v in (x * scale, y * scale):
-        add(*_dl_mul(v, v))
-    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-    add(*_dl_mul(-h, h))
-    h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-    out = h / scale
-    fall = np.flatnonzero((biased == 0) | (biased >= 2045))
-    if len(fall):
-        out[fall] = list(map(math.hypot, x[fall].tolist(), y[fall].tolist()))
-    return out
-
-
-def _dl_split(v):
-    """Veltkamp split of v into hi + lo, each of at most 26 bits."""
-    t = v * _VELTKAMP
-    hi = t - (t - v)
-    return hi, v - hi
-
-
-def _dl_mul(a, b):
-    """Dekker's exact product: (z, zz) with a * b == z + zz."""
-    ahi, alo = _dl_split(a)
-    bhi, blo = (ahi, alo) if b is a else _dl_split(b)
-    p = ahi * bhi
-    q = ahi * blo + alo * bhi
-    z = p + q
-    return z, p - z + q + alo * blo
 
 
 def _comment_name(line, name):
@@ -582,7 +525,7 @@ def derive_geometry(grid):
                                   (y[na] + y[nb]) / 2.0]),
     )
     x0, y0, x1, y1 = grid.bbox if len(a) else (0.0,) * 4
-    grid.bbox_diagonal = math.hypot(x1 - x0, y1 - y0)
+    grid.bbox_diagonal = float(_hypot(x1 - x0, y1 - y0))
     return grid
 
 

@@ -17,7 +17,8 @@ builds a coefficient-only table, whose F and G fields are None.
 Every per-cell sum over a stencil is a ``np.bincount`` over the cells' rows
 of neighbors, which adds a row's values in neighbor order from +0.0, as the
 scalar loops do and as the CSR matvecs of the solver's gradient operators
-do; so the table and those operators are bit-equal to the per-stencil
+do, and lengths follow :func:`gridgauge.grid._hypot` as in the reference;
+so the table and those operators are bit-equal to the per-stencil
 reference. The module uses NumPy alone.
 """
 

@@ -18,6 +18,19 @@ from .errors import DegenerateStencilError, SingularStencilError
 from .lsq import DEGENERACY_RTOL, SINGULARITY_EPS
 
 
+def distance(dx, dy):
+    """Length of the offset (dx, dy) by the distance rule of
+    :func:`gridgauge.grid._hypot`, step for step."""
+    x, y = abs(float(dx)), abs(float(dy))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf if math.inf in (x, y) else math.nan
+    m, s = max(x, y), min(x, y)
+    if m == 0.0:
+        return 0.0
+    r = s / m
+    return m * math.sqrt(1.0 + r * r)
+
+
 @dataclass
 class Stencil:
     """Neighbor set of one cell with centroid offsets and distances."""
@@ -133,7 +146,7 @@ def build_stencil(grid, cell_index, mode="face"):
     for k in neighbors:
         xk, yk = grid.centroids[k].tolist()
         ddx, ddy = xk - xj, yk - yj
-        dist = math.hypot(ddx, ddy)
+        dist = distance(ddx, ddy)
         if dist < tol:
             raise DegenerateStencilError(
                 f"cells {cell_index} and {k}: centroid distance {dist} below "
@@ -247,4 +260,4 @@ def g_measure(stencil, system):
         yk = stencil.dy[k] / smax
         du.append(math.exp(-(xk * xk + yk * yk)) - 1.0)
     gx, gy = apply_gradient(system, du)
-    return smax * math.hypot(gx, gy)
+    return smax * distance(gx, gy)

@@ -30,7 +30,15 @@ and "9\\n" gathered by vertex count.
 
 import numpy as np
 
-from .grid import _dl_split, cell_lines, one_line
+from .grid import cell_lines, one_line
+
+
+def _dl_split(v):
+    """Veltkamp split of v into hi + lo, each of at most 26 bits."""
+    t = v * 134217729.0             # Veltkamp's constant, 2**27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
 
 # The CELL_TYPES lines of triangles (VTK_TRIANGLE) and quads (VTK_QUAD) as
 # two-byte words, picked by vertex count - 3.

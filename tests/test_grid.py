@@ -1,10 +1,12 @@
 import hashlib
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gridgauge import (
     DegenerateStencilError,
@@ -18,9 +20,15 @@ from gridgauge import (
     replace_nodes,
     write_grid,
 )
-from gridgauge.grid import _parse_bulk, _parse_lines, cell_lines, one_line
+from gridgauge.grid import (
+    _hypot,
+    _parse_bulk,
+    _parse_lines,
+    cell_lines,
+    one_line,
+)
 from gridgauge.lsq import _adjacency
-from gridgauge.oracle import build_stencil
+from gridgauge.oracle import build_stencil, distance
 
 UNIT_QUAD = """4 1
 0.0 0.0
@@ -336,7 +344,7 @@ def test_offsets_recomputable_from_centroids():
         xk, yk = grid.centroids[nb].tolist()
         assert st.dx[k] == xk - xj
         assert st.dy[k] == yk - yj
-        assert st.d[k] == math.hypot(xk - xj, yk - yj)
+        assert st.d[k] == distance(xk - xj, yk - yj)
 
 
 def test_single_neighbor_is_degenerate():
@@ -397,7 +405,9 @@ def test_tiny_relative_distance_is_degenerate():
 
 
 # sha256 of each core output of the 17x17 generated grids (tri_irregular:
-# perturb 0.3, seed 42), taken before the grid core was vectorized.
+# perturb 0.3, seed 42), taken before the grid core was vectorized; the
+# tri_irregular lengths and normals were re-taken when the distance rule
+# replaced math.hypot.
 GOLDEN = {
     "quad": {
         "text":
@@ -481,9 +491,9 @@ GOLDEN = {
         "neighbor":
             "9309d64c0163d89f7a30ff2a40789d732f0bb767334486aa2e3fded93b125ca8",
         "normal":
-            "1d724df67345fdb949ff9b19ae8af645316418924f06255c334cb850f104173a",
+            "2f176cf8f07c3de6fb242f693b8e31919c6c4cd889dedb401fd5ee9082a72205",
         "length":
-            "59de67ea70690e429336854fd6572e43a4387f48f3a7e9d19f6d5e973537bda7",
+            "878a81bb03c2a9f3be5bcbab2a7e0b7e545a205a4c3f2a246ca985e5625baafd",
         "midpoint":
             "cecbf83b52d01652a8fb9bf1ef15cc529267bef4eae8d75b349804186252e3b2",
     },
@@ -506,7 +516,7 @@ def core_digests(grid):
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_grid_core_golden_digest(kind):
-    # Only + - * / and math.hypot go into these arrays, so the digests hold
+    # Only + - * / and sqrt go into these arrays, so the digests hold
     # on every IEEE-754 platform.
     grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
     assert core_digests(grid) == GOLDEN[kind]
@@ -586,6 +596,93 @@ def test_first_faulty_edge_reported():
     assert str(err.value) == "edge (0, 1) shared by more than two cells"
 
 
+def distances(x, y):
+    """The scalar distance rule over two arrays, one pair at a time."""
+    return np.array(list(map(distance, x.tolist(), y.tolist())), float)
+
+
+def check_distance_rule(x, y):
+    """_hypot(x, y) equals the scalar rule bit for bit, changes under no swap
+    or sign flip of its arguments, and is within 2 ulp of math.hypot (1 ulp
+    on subnormal results), with NaN where it is NaN; no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _hypot(x, y)
+        assert got.dtype == np.float64
+        bits = got.view(np.int64)
+        assert np.array_equal(bits, distances(x, y).view(np.int64))
+        for a, b in ((y, x), (-x, y), (x, -y), (-y, -x)):
+            assert np.array_equal(_hypot(a, b).view(np.int64), bits)
+    want = np.array(list(map(math.hypot, x.tolist(), y.tolist())), float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # Non-negative doubles are ordered as their bits, and inf is one step
+    # past the largest double, so the bit distance counts ulps.
+    ulps = np.abs(bits[~nan] - want[~nan].view(np.int64))
+    assert ulps.max(initial=0) <= 2
+    assert ulps[want[~nan] < sys.float_info.min].max(initial=0) <= 1
+
+
+# Every kind of float: zeros of both signs, subnormals, the ends of the
+# normal range, 2**1022 and its predecessor, inf and NaN.
+any_float = strategies.one_of(
+    strategies.floats(),
+    strategies.floats(-2.3e-308, 2.3e-308),
+    strategies.sampled_from([
+        0.0, -0.0, 5e-324, sys.float_info.min, 2.0**1022,
+        math.nextafter(2.0**1022, 0.0), sys.float_info.max, math.inf,
+        -math.inf, math.nan]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(strategies.lists(strategies.tuples(any_float, any_float), max_size=40))
+def test_distance_rule_on_any_floats(pairs):
+    x, y = np.array(pairs, float).reshape(-1, 2).T
+    check_distance_rule(x, y)
+
+
+def test_distance_rule_on_sample():
+    # 10**6 pairs of magnitudes 2**-1080 (zero) to 2**1030 (inf), half of
+    # them within 2**60 of each other, where both squares count.
+    rng = np.random.default_rng(20261018)
+    n = 10**6
+    ex = rng.integers(-1080, 1031, n)
+    ey = np.where(rng.random(n) < 0.5, ex + rng.integers(-60, 61, n),
+                  rng.integers(-1080, 1031, n))
+    with np.errstate(over="ignore"):
+        x, y = (rng.choice([-1.0, 1.0], n) * np.ldexp(rng.random(n) + 0.5, e)
+                for e in (ex, ey))
+    check_distance_rule(x, y)
+    for length in (0, 1):
+        check_distance_rule(x[:length], y[:length])
+    # Integers, cast to float64 as math.hypot converts them.
+    for bound in (100, 2**62):
+        i, k = rng.integers(-bound, bound, (2, 1000))
+        check_distance_rule(i, k)
+
+
+def test_distance_rule_exact_cases():
+    # (3, 4) * 2**k has length 5 * 2**k, and an axis-aligned offset its
+    # magnitude, from the least subnormal to the largest double.
+    k = np.arange(-1074, 1022)
+    three, four, five = (np.ldexp(float(c), k) for c in (3, 4, 5))
+    assert np.array_equal(_hypot(three, four), five)
+    assert np.array_equal(distances(three, four), five)
+    rng = np.random.default_rng(7)
+    v = np.concatenate([
+        [5e-324, sys.float_info.min, sys.float_info.max, math.inf],
+        np.ldexp(rng.random(1000) + 0.5, rng.integers(-1074, 1023, 1000))])
+    v = np.concatenate([v, -v, [0.0, -0.0]])
+    zero = np.zeros_like(v)
+    for x, y in ((v, zero), (zero, v), (v, -zero)):
+        assert np.array_equal(_hypot(x, y), np.abs(v))
+        assert np.array_equal(distances(x, y), np.abs(v))
+    # Scalars give 0-d results, as Grid.bbox_diagonal takes them.
+    assert float(_hypot(3.0, -4.0)) == distance(3.0, -4.0) == 5.0
+    assert float(_hypot(-0.0, 0.0)) == distance(-0.0, 0.0) == 0.0
+
+
 def unique_faces(nodes, cell_nodes):
     """Face discovery by np.unique, as derive_geometry did it before its one
     stable sort: the FaceArrays fields, or the message of the first faulty
@@ -608,7 +705,7 @@ def unique_faces(nodes, cell_nodes):
     first = first[order]
     na, nb = a[first], b[first]
     dx, dy = x[nb] - x[na], y[nb] - y[na]
-    length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    length = distances(dx, dy)
     twice = second[(a[second] == na[face[second]])
                    & (b[second] == nb[face[second]])]
     faults = {"zero": first[length == 0.0], "twice": twice, "thrice": third}

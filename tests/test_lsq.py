@@ -21,6 +21,7 @@ from gridgauge.oracle import (
     apply_gradient,
     build_stencil,
     build_system,
+    distance,
     f_measure,
     g_measure,
 )
@@ -31,7 +32,7 @@ from gridgauge.solver import _Advection
 def make_stencil(dx, dy):
     dx = tuple(float(v) for v in dx)
     dy = tuple(float(v) for v in dy)
-    d = tuple(math.hypot(a, b) for a, b in zip(dx, dy))
+    d = tuple(distance(a, b) for a, b in zip(dx, dy))
     return Stencil(cell=0, neighbors=tuple(range(1, len(dx) + 1)), dx=dx, dy=dy, d=d)
 
 

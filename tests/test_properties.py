@@ -1,7 +1,6 @@
 """Property tests of the grid core on small random grids."""
 
 import math
-import sys
 from unittest import mock
 
 import numpy as np
@@ -23,13 +22,7 @@ from gridgauge import (
     parse_grid,
 )
 from gridgauge import lsq
-from gridgauge.grid import (
-    _HYPOT_BLOCK,
-    _cell_nverts,
-    _hypot,
-    _parse_bulk,
-    _parse_lines,
-)
+from gridgauge.grid import _cell_nverts, _parse_bulk, _parse_lines
 from gridgauge.oracle import _face_adjacency, _vertex_adjacency
 from tests.test_lsq import scalar_table
 
@@ -197,56 +190,6 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
     floor = 1.0 - 1e-12
     assert (total[ok] >= table.f[ok] * floor).all()
     assert (total[ok] >= rowsum(w2 * d)[ok] / lam_max[ok] * floor).all()
-
-
-def math_hypot(x, y):
-    return np.array(list(map(math.hypot, x.tolist(), y.tolist())), float)
-
-
-def assert_hypot_exact(x, y):
-    got = _hypot(x, y)
-    assert got.dtype == np.float64
-    assert np.array_equal(got.view(np.int64), math_hypot(x, y).view(np.int64))
-
-
-# Every kind of float: zeros of both signs, subnormals, the ends of the
-# normal range, 2**1022 (from where _hypot hands lanes to math.hypot), inf
-# and NaN.
-any_float = st.one_of(
-    st.floats(),
-    st.floats(-2.3e-308, 2.3e-308),
-    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, 2.0**1022,
-                     math.nextafter(2.0**1022, 0.0), sys.float_info.max,
-                     math.inf, -math.inf, math.nan]),
-)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.tuples(any_float, any_float), max_size=40))
-def test_hypot_equals_math_hypot(pairs):
-    x, y = np.array(pairs, float).reshape(-1, 2).T
-    assert_hypot_exact(x, y)
-
-
-def test_hypot_equals_math_hypot_on_sample():
-    # 10**6 pairs of magnitudes 2**-1080 (zero) to 2**1030 (inf), half of
-    # them within 2**60 of each other, where both squares count.
-    rng = np.random.default_rng(20261018)
-    n = 10**6
-    ex = rng.integers(-1080, 1031, n)
-    ey = np.where(rng.random(n) < 0.5, ex + rng.integers(-60, 61, n),
-                  rng.integers(-1080, 1031, n))
-    with np.errstate(over="ignore"):
-        x, y = (rng.choice([-1.0, 1.0], n) * np.ldexp(rng.random(n) + 0.5, e)
-                for e in (ex, ey))
-    assert_hypot_exact(x, y)
-    # Lengths around the block size.
-    for length in (0, 1, _HYPOT_BLOCK - 1, _HYPOT_BLOCK, _HYPOT_BLOCK + 1):
-        assert_hypot_exact(x[:length], y[:length])
-    # Integers, cast to float64 as math.hypot converts them.
-    for bound in (100, 2**62):
-        i, k = rng.integers(-bound, bound, (2, 1000))
-        assert_hypot_exact(i, k)
 
 
 @SETTINGS

@@ -181,7 +181,8 @@ def test_jacobian_pattern_matches_face_adjacency():
 
 # sha256 of the Jacobian's CSR arrays (indptr and indices as int64, data as
 # float64) on 17x17 grids (tri_irregular: perturb 0.3, seed 42), taken before
-# the residual and the Jacobian were assembled by one face rule.
+# the residual and the Jacobian were assembled by one face rule; tri_irregular
+# was re-taken when the distance rule replaced math.hypot.
 JACOBIAN_GOLDEN = {
     ("quad", 0.0):
         "a481964020b9f695fc89057730bfef68153d2359f8d60ede0585e20d9c018cac",
@@ -196,11 +197,11 @@ JACOBIAN_GOLDEN = {
     ("tri_regular", 245.0):
         "62c6490bafeabcf5994211a863a6fa2b9aa70811ab4d530c0f9052cb458d4966",
     ("tri_irregular", 0.0):
-        "2ce3901726c21d29feab0f691dce8ef3b3b0fe84bba1a90164a77276aea56082",
+        "4e034c89e14ef645c10b8fd90b6afab6df4e4da0dec16b2e63531ae994a643a4",
     ("tri_irregular", 30.0):
-        "6d70606293db6a4c3ecd68f3549ba06dfee2f422dcb5b787ef9c52efb675581e",
+        "0cd710526cff0156e58b65f8c6597605037a463f1b78acd5b5395646c9b3b3c8",
     ("tri_irregular", 245.0):
-        "1aa8bcbf51ef655354b8ba825c3ae1b122040d18712637a4b2786511c1a72103",
+        "c7f0c4480aa4a9d6e3c4473f6d3ea893141b3bd46cc973b654a228a3b3190db4",
 }
 
 
@@ -220,8 +221,9 @@ def test_jacobian_golden_digest(kind, theta):
 # default tolerance; tri_irregular with face stencils diverges. Where a sweep
 # triangle is solved level by level the history's last digits are not
 # SuperLU's, so tri_irregular vertex p0 and tri_regular face p0 and vertex
-# p0 were re-taken when the level solve came in; SOLVE_COUNTS pins their
-# counts apart from the bytes.
+# p0 were re-taken when the level solve came in, and tri_irregular, tri_regular
+# face p1 and vertex p1 when the distance rule replaced math.hypot;
+# SOLVE_COUNTS pins their counts apart from the bytes.
 SOLVE_GOLDEN = {
     ("quad", "face", 0): (0, "030ed878da39cf2a28a3d9cc022dc5b2"
                              "22fe98875506894b92b37c52fa12e4f4"),
@@ -231,22 +233,22 @@ SOLVE_GOLDEN = {
                                "5250cab0d482e1765e0a781e7d080152"),
     ("quad", "vertex", 1): (0, "df706e8ad28fbcd2ece9cddca250c2d6"
                                "85949f9f0f7d0de4167ed5985c23109a"),
-    ("tri_irregular", "face", 0): (4, "26bd6fb7fbd1dbdadaa8c76329a5e91d"
-                                      "b9feec321fc21f424b5be2c304a03a01"),
-    ("tri_irregular", "face", 1): (4, "37064fff9c23f3711992c924a0de7f6f"
-                                      "a558624732027fd731fabf404c4788a4"),
-    ("tri_irregular", "vertex", 0): (0, "630cfd0a8533c1e2e37744c220fbcb24"
-                                        "7eb285e3c69408f826566cf21c519024"),
-    ("tri_irregular", "vertex", 1): (0, "12e0f90332da74047a77c8d0a3749f68"
-                                        "459a1bf44e4942ddaee9b58cd0fa3314"),
+    ("tri_irregular", "face", 0): (4, "14ff2a09b39641feff971834a548a5a8"
+                                      "8eff11caa84b12c0e0c4d6e351dff2b9"),
+    ("tri_irregular", "face", 1): (4, "e98499734de57b44c11466388f0c4da4"
+                                      "a2bb587b2ffe75fc1316093943e65b5e"),
+    ("tri_irregular", "vertex", 0): (0, "c8be25e59755d6a247edfeb8bad3dcb6"
+                                        "73d2b51e9d2fde0bcfbcefa6f306c735"),
+    ("tri_irregular", "vertex", 1): (0, "ce433d43c98583ed74f5186a147de037"
+                                        "fc835c7f192f540256992ce191945957"),
     ("tri_regular", "face", 0): (0, "362261f9c135017e0d62dd884ce4437c"
                                     "be7a409c006485112ffa0d6c07d6d633"),
-    ("tri_regular", "face", 1): (0, "6cea381456456654c51ae8ebc527508a"
-                                    "87d5e4b67e194a0ce861549a372260b4"),
+    ("tri_regular", "face", 1): (0, "5953d7f43f64c89c9c133236cc003cd6"
+                                    "14afc43fece606bbe03a247315425069"),
     ("tri_regular", "vertex", 0): (0, "a3f922faffc3762e218ecdcb1f78c699"
                                       "5cf41e2dfb5094936b213aa51225ddd0"),
-    ("tri_regular", "vertex", 1): (0, "43b7059d6283c5f09a422d991228fe65"
-                                      "abf63628df8ee0cb4e63d6c0e96ef31b"),
+    ("tri_regular", "vertex", 1): (0, "aa9c3d10b7e22992ea4c3f38ac046ea8"
+                                      "75ebafef112ba9634ed16734b707d39f"),
 }
 
 
