@@ -17,9 +17,11 @@ builds a coefficient-only table, whose F and G fields are None.
 Every per-cell sum over a stencil is a ``np.bincount`` over the cells' rows
 of neighbors, which adds a row's values in neighbor order from +0.0, as the
 scalar loops do and as the CSR matvecs of the solver's gradient operators
-do, and lengths follow :func:`gridgauge.grid._hypot` as in the reference;
-so the table and those operators are bit-equal to the per-stencil
-reference. The module uses NumPy alone.
+do; lengths follow the distance rule :func:`gridgauge.grid._hypot` and G's
+bump the exp rule :func:`_exp`, whose scalar twins the reference calls. So
+the table and those operators are bit-equal to the per-stencil reference,
+on every IEEE-754 machine: no step calls the C library's exp or hypot. The
+module uses NumPy alone.
 """
 
 import math
@@ -39,6 +41,17 @@ SINGULARITY_EPS = 1e-12
 # Cells per block of lsq_table: bounds its temporary arrays, which set the
 # peak memory of analyze on large grids.
 BLOCK = 1024
+# Row entries per block of the vertex stencil build, which bounds its
+# temporary arrays likewise.
+VERTEX_ENTRIES = 2**18
+# G's bump by the package's one exp rule (see _exp): ln 2 rounded; fdlibm's
+# split of ln 2 (Cody & Waite) into a high part of 32 significant bits, so
+# that k * LN2_HI is exact for |k| < 2**21, and the low part; and the
+# Taylor coefficients 1/i! of e^r for i = 12 down to 0.
+LN2 = 0.6931471805599453
+LN2_HI = 6.93147180369123816490e-01
+LN2_LO = 1.90821492927058770002e-10
+EXP_TAYLOR = tuple(1.0 / math.factorial(i) for i in range(12, -1, -1))
 
 
 @dataclass
@@ -60,6 +73,26 @@ class LsqTable:
     cy: np.ndarray
 
 
+def _exp(q):
+    """exp(q) elementwise by the package's one exp rule: k = rint(q / LN2),
+    r = (q - k * LN2_HI) - k * LN2_LO, e^r by Horner's rule on EXP_TAYLOR,
+    scaled by 2**k with ldexp. Each step is one correctly rounded IEEE
+    operation, so the result is the same on every IEEE-754 machine; on
+    [-2, 0], where G takes it, it is within 2 ulp of exp. Non-finite lanes
+    are masked before the int cast: exp(-inf) = 0, NaN and inf pass."""
+    q = np.asarray(q, dtype=float)
+    finite = np.isfinite(q)
+    x = np.where(finite, q, 0.0)
+    k = np.rint(x / LN2)
+    r = (x - k * LN2_HI) - k * LN2_LO
+    e = np.full_like(r, EXP_TAYLOR[0])
+    for c in EXP_TAYLOR[1:]:
+        e *= r
+        e += c
+    e = np.ldexp(e, k.astype(np.int32))
+    return np.where(finite, e, np.where(q < 0.0, 0.0, q))
+
+
 def check_stencils(degenerate, stencil_mode):
     """Number of degenerate cells, given an :class:`LsqTable`'s
     ``degenerate`` flags; raises :class:`DegenerateGridError` when there are
@@ -77,54 +110,59 @@ def check_stencils(degenerate, stencil_mode):
 
 def _adjacency(grid, mode):
     """Sorted neighbor lists of all cells as CSR (indptr, indices): cells
-    sharing an edge, or for mode="vertex" a node. Vertex pairs are made from
-    the node-to-cell incidence a block of BLOCK cells at a time, which bounds
-    their temporary arrays."""
+    sharing an edge, or for mode="vertex" a node."""
     n = grid.n_cells
-    if mode == "face":
-        fa = grid.face_arrays
-        inner = fa.neighbor != -1
-        own, nb = fa.owner[inner], fa.neighbor[inner]
-        blocks = [(0, n, np.concatenate([own * n + nb, nb * n + own]))]
-    elif mode == "vertex":
-        blocks = _vertex_pairs(grid)
-    else:
-        raise ValueError(f"unknown stencil mode {mode!r}")
     # Half the memory of np.intp on any grid that fits in memory.
     index_type = np.int32 if n < 2**31 else np.intp
+    if mode == "vertex":
+        return _vertex_rows(grid, index_type)
+    if mode != "face":
+        raise ValueError(f"unknown stencil mode {mode!r}")
+    fa = grid.face_arrays
+    inner = fa.neighbor != -1
+    own, nb = fa.owner[inner], fa.neighbor[inner]
+    # Pairs (row, col) as keys row * n + col, sorted without repeats
+    # (np.unique is several times slower), less a cell's pair with itself.
+    key = np.sort(np.concatenate([own * n + nb, nb * n + own]))
+    row, col = key // n, key % n
+    keep = (np.diff(key, prepend=-1) > 0) & (row != col)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep],
+                                                        minlength=n))])
+    return indptr, col[keep].astype(index_type)
+
+
+def _vertex_rows(grid, index_type):
+    """Vertex-mode CSR (indptr, indices) of :func:`_adjacency`. Each cell's
+    row lists the cells at each of its nodes, every list padded to the
+    block's largest by repeating its last cell, and is sorted; the repeats
+    and the cell itself are then dropped. Blocks hold about VERTEX_ENTRIES
+    row entries, so a node shared by many cells shortens the blocks instead
+    of widening every row."""
+    n, cell_nodes = grid.n_cells, grid.cell_nodes
+    verts = cell_nodes[cell_nodes >= 0]
+    cells = np.repeat(np.arange(n, dtype=index_type), grid.cell_nverts)
+    # The cells at each node, ascending, as node_cells[first[v]:last[v] + 1].
+    node_cells = cells[np.argsort(verts, kind="stable")]
+    size = np.bincount(verts, minlength=grid.n_nodes)
+    last = np.cumsum(size) - 1
+    first = last - size + 1
+    # A triangle's empty slot repeats its first node.
+    nv = int(grid.cell_nverts.max(initial=3))
+    nodes = np.where(cell_nodes >= 0, cell_nodes, cell_nodes[:, :1])[:, :nv]
+    step = max(1, VERTEX_ENTRIES // (nv * int(size.max(initial=1))))
     counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, index_type)]
-    for lo, hi, key in blocks:
-        # Pairs (row, col) as keys row * n + col, sorted without repeats
-        # (np.unique is several times slower), less a cell's pair with itself.
-        key = np.sort(key)
-        row, col = key // n, key % n
-        keep = (np.diff(key, prepend=-1) > 0) & (row != col)
-        counts.append(np.bincount(row[keep] - lo, minlength=hi - lo))
-        indices.append(col[keep].astype(index_type))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        v = nodes[lo:hi, :, None]
+        at = first[v] + np.arange(size[v].max())
+        np.minimum(at, last[v], out=at)
+        row = np.sort(node_cells[at.reshape(hi - lo, -1)], axis=1)
+        keep = row != np.arange(lo, hi, dtype=index_type)[:, None]
+        keep[:, 1:] &= row[:, 1:] != row[:, :-1]
+        counts.append(np.count_nonzero(keep, axis=1))
+        indices.append(row.ravel()[keep.ravel()])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return indptr, np.concatenate(indices)
-
-
-def _vertex_pairs(grid):
-    """(lo, hi, keys) per block of cells lo..hi-1: row * n + col for every
-    cell row of the block and cell col that share a node, with repeats."""
-    n = grid.n_cells
-    verts = grid.cell_nodes[grid.cell_nodes >= 0]
-    cells = np.repeat(np.arange(n), grid.cell_nverts)
-    cell_ptr = np.concatenate([[0], np.cumsum(grid.cell_nverts)])
-    # The cells at each node, in CSR form over the nodes.
-    node_cells = cells[np.argsort(verts, kind="stable")]
-    node_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(verts, minlength=grid.n_nodes))])
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        inc = slice(cell_ptr[lo], cell_ptr[hi])
-        nodes = verts[inc]
-        size = node_ptr[nodes + 1] - node_ptr[nodes]
-        # Position k of the run for node v reads node_cells[node_ptr[v] + k].
-        at = np.repeat(node_ptr[nodes] - (np.cumsum(size) - size), size)
-        at += np.arange(len(at))
-        yield lo, hi, np.repeat(cells[inc] * n, size) + node_cells[at]
 
 
 def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
@@ -186,7 +224,7 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                 np.maximum.at(far, row, d)
                 x, y = dx / far[row], dy / far[row]
                 q = -(x * x + y * y)
-                bump = np.fromiter(map(math.exp, memoryview(q)), float, len(q))
+                bump = _exp(q)
                 smax[rows] = far
                 gx[rows], gy[rows] = (rowsum(c * (bump - 1.0))
                                       for c in (cx, cy))

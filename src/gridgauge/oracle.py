@@ -15,7 +15,8 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import DegenerateStencilError, SingularStencilError
-from .lsq import DEGENERACY_RTOL, SINGULARITY_EPS
+from .lsq import (DEGENERACY_RTOL, EXP_TAYLOR, LN2, LN2_HI, LN2_LO,
+                  SINGULARITY_EPS)
 
 
 def distance(dx, dy):
@@ -29,6 +30,17 @@ def distance(dx, dy):
         return 0.0
     r = s / m
     return m * math.sqrt(1.0 + r * r)
+
+
+def exponential(q):
+    """exp(q) of a finite q by the exp rule of :func:`gridgauge.lsq._exp`,
+    step for step."""
+    k = round(q / LN2)
+    r = (q - k * LN2_HI) - k * LN2_LO
+    e = EXP_TAYLOR[0]
+    for c in EXP_TAYLOR[1:]:
+        e = e * r + c
+    return math.ldexp(e, k)
 
 
 @dataclass
@@ -258,6 +270,6 @@ def g_measure(stencil, system):
     for k in range(len(stencil.d)):
         xk = stencil.dx[k] / smax
         yk = stencil.dy[k] / smax
-        du.append(math.exp(-(xk * xk + yk * yk)) - 1.0)
+        du.append(exponential(-(xk * xk + yk * yk)) - 1.0)
     gx, gy = apply_gradient(system, du)
     return smax * distance(gx, gy)

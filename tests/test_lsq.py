@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gridgauge import (
 )
 from gridgauge.oracle import (
     Stencil,
+    _vertex_adjacency,
     apply_gradient,
     build_stencil,
     build_system,
@@ -302,3 +304,65 @@ def test_notch_grid_has_singular_and_degenerate_cells():
         build_system(build_stencil(grid, 2, "face"))
     with pytest.raises(DegenerateStencilError):
         build_stencil(grid, 3, "face")
+
+
+def fan_grid(n):
+    """n triangles around node 0, each with nodes on the unit circle: every
+    cell shares node 0 with every other."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    nodes = np.vstack([[0.0, 0.0], np.column_stack([np.cos(t), np.sin(t)])])
+    rim = 1 + np.arange(n)
+    cell_nodes = np.column_stack([np.zeros(n, int), rim, 1 + rim % n,
+                                  np.full(n, -1)])
+    return derive_geometry(Grid(name="fan", nodes=nodes,
+                                cell_nodes=cell_nodes))
+
+
+def vertex_grid(kind):
+    if kind == "fan":
+        return fan_grid(2000)
+    if kind == "unused-node":
+        # Node 0 belongs to no cell.
+        quad = generate(GenSpec(kind="quad", nx=4, ny=4))
+        cell_nodes = np.where(quad.cell_nodes >= 0, quad.cell_nodes + 1, -1)
+        return derive_geometry(Grid(
+            name="unused", nodes=np.vstack([[9.0, 9.0], quad.nodes]),
+            cell_nodes=cell_nodes))
+    if kind == "one-cell":
+        return derive_geometry(Grid(
+            name="one", nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            cell_nodes=np.array([[0, 1, 2, -1]])))
+    return generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=4))
+
+
+@pytest.mark.parametrize("entries", [lsq.VERTEX_ENTRIES, 50])
+@pytest.mark.parametrize("kind", ["quad", "quad_ar", "tri_regular",
+                                  "tri_irregular", "unused-node", "one-cell",
+                                  "fan"])
+def test_vertex_stencil_equals_scalar_neighbor_lists(kind, entries,
+                                                     monkeypatch):
+    # With 50 row entries a block holds a few cells, or one on the fan.
+    grid = vertex_grid(kind)
+    monkeypatch.setattr(lsq, "VERTEX_ENTRIES", entries)
+    indptr, indices = lsq._adjacency(grid, "vertex")
+    lists = _vertex_adjacency(grid)
+    assert indptr.dtype == np.int64 and indices.dtype == np.int32
+    assert np.array_equal(indptr, np.cumsum([0] + [len(a) for a in lists]))
+    assert np.array_equal(indices, np.concatenate([[]] + lists))
+
+
+def test_vertex_stencil_memory_on_a_fan():
+    # One node shared by 2,000 cells shortens the blocks instead of widening
+    # them, so the build's peak stays within 3 times its output, which it
+    # holds twice while it joins the blocks' rows. The key-sort build it
+    # replaced peaked at 6.6 times its output here.
+    grid = fan_grid(2000)
+    lsq._adjacency(grid, "vertex")
+    tracemalloc.start()
+    try:
+        indptr, indices = lsq._adjacency(grid, "vertex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == 2000 * 1999
+    assert peak <= 3 * (indptr.nbytes + indices.nbytes)

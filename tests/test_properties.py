@@ -196,7 +196,8 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
 @given(all_kinds, st.randoms(use_true_random=False))
 def test_adjacency_equals_scalar_neighbor_lists(spec, rnd):
     # Cells in random order, so that a cell's neighbors are not near it in
-    # number; blocks of 5 cells, so that the vertex pairs span several.
+    # number; blocks of 100 row entries, a few cells, so that the vertex
+    # rows span several.
     grid = generate(spec)
     order = list(range(grid.n_cells))
     rnd.shuffle(order)
@@ -204,7 +205,7 @@ def test_adjacency_equals_scalar_neighbor_lists(spec, rnd):
                 cell_nodes=grid.cell_nodes[order])
     for mode, scalar in (("face", _face_adjacency),
                          ("vertex", _vertex_adjacency)):
-        with mock.patch.object(lsq, "BLOCK", 5):
+        with mock.patch.object(lsq, "VERTEX_ENTRIES", 100):
             indptr, indices = lsq._adjacency(grid, mode)
         assert indptr[0] == 0
         assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] \

@@ -21,7 +21,7 @@ from gridgauge import (
     source_term,
 )
 from gridgauge.oracle import apply_gradient, build_stencil, build_system
-from gridgauge import solver
+from gridgauge import lsq, solver
 from gridgauge.cli import main
 from gridgauge.gridgen import KINDS
 
@@ -632,11 +632,11 @@ class ExpCalled(Exception):
 
 def test_solve_evaluates_no_bump(monkeypatch):
     # The solver's table stops at the gradient coefficients; only the G
-    # measure evaluates the bump exp(-(x^2 + y^2)), with math.exp.
-    def exp(x):
+    # measure evaluates the bump exp(-(x^2 + y^2)), with lsq._exp.
+    def exp(q):
         raise ExpCalled
 
-    monkeypatch.setattr(math, "exp", exp)
+    monkeypatch.setattr(lsq, "_exp", exp)
     for kind, mode in (("quad", "face"), ("tri_irregular", "vertex")):
         grid = generate(GenSpec(kind=kind, nx=9, ny=9, seed=1))
         with pytest.raises(ExpCalled):

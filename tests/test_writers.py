@@ -14,36 +14,37 @@ from tests.test_lsq import notch_grid
 # sha256 of write_vtk's output with the F/G fields of lsq_table, and of
 # grid_to_text, as the per-value writers of earlier versions formatted them.
 # The VTK digests that the distance rule moved, in the last digits of F and
-# G, were re-taken when it replaced math.hypot.
+# G, were re-taken when it replaced math.hypot, and those that the exp rule
+# moved, in the last digits of G, when it replaced math.exp.
 VTK_GOLDEN = {
     ("quad", "face", 0):
         "2c7b3013f3c70e605c26977e521bfb3381f92f478a7774938c2230fb95ee8bdb",
     ("quad", "face", 1):
         "2c7b3013f3c70e605c26977e521bfb3381f92f478a7774938c2230fb95ee8bdb",
     ("quad", "vertex", 0):
-        "2d180a650086a605c98739a9534aff254eb47ac9a7322609ff897fe5c0685047",
+        "e100ef6dfa9b7519e3b64f020953567cd530b534f239374f4f00d925e2a195b7",
     ("quad", "vertex", 1):
-        "575c0185fb395a4641552ebd8c561d3985efb888156c0238ea134ce488095f41",
+        "cbeafcbf126f4ff959aa839e2b666f71d14fe057ab1935b3240ecc752a792b0f",
     ("tri_regular", "face", 0):
-        "3416a29a32d651586d8234ab65b6f94ae10601791d5f791b2a20268289a05317",
+        "4aed1e40909a2b6d1d2cd942cc348efccf19c4311118958042f3ceec16106ad2",
     ("tri_regular", "face", 1):
-        "5d767114163cbc833bf7b08b2e7f07aa7d96bb8c7c8a7d58b5c094f373ca1fe2",
+        "1bf8cca1d23e810c306ac2681ccf6442ae3df0e57e1363edf3f3771ef256ae21",
     ("tri_regular", "vertex", 0):
-        "78aec82630ba5763da267a0b2d83cbd10f540ec8a2a4c51fb9ba90693f2b28e8",
+        "6fc48ff386a6f531c6ce23a5c46f7de180e2d1889c0915eba747c43f20ec0295",
     ("tri_regular", "vertex", 1):
-        "20dc977a8a2bdb0e4123eb110817b9e9aea3850150e4e2b78684b4a34758dd1d",
+        "b408231b1a6ab5017b1d96e8ab31664f7426924ce2dce791125af9eb65b7dda6",
     ("tri_irregular", "face", 0):
-        "a1824237e78ac468261ba44878118029eb3760d309245aad85b001e48db81fcc",
+        "86c532a71efba7f728383e75c9d941e6a4a4f4b6b4f8d894ace7bf212c56fc2b",
     ("tri_irregular", "face", 1):
-        "5cfb8965e31ded6078c99bf1ae30c1f59229be0da8a7c3d2cbace96faf91f2a8",
+        "6760bdd37b5d8b5792c9e7b143285cd1d313d237f7bd3355dfdfb61d260bd877",
     ("tri_irregular", "vertex", 0):
-        "01ab6fc82bffde8e81f4df06e4ac1ea9e0f51298b89d740d151f574966e793b1",
+        "e2b659f66e5572496d09e87c281bc8846c44c87f99fbdc731b671e4d4cb9f703",
     ("tri_irregular", "vertex", 1):
-        "9715748af268b6448e056124a6929650d44385bf263bb909d73d78e35508c7dd",
+        "f0c94333fc43e35b900689b35f05f4f7f9bfb3830d1145dfe25e0e1932c838ad",
     ("notch", "face", 0):
         "5bb5ac0efa553be914f5fc8c5a2cd626174825caf6341fde2ff386c186f24522",
     ("mixed", "vertex", 0):
-        "08f109b14bd448834debd820bd351ed5d24e1427837cf2243a5138f12e2bf1d7",
+        "4cccb60a88d3ef9e9d71acdbd461c2cf0f90313c54aaab18b38cf3cd1b11a29c",
 }
 TEXT_GOLDEN = {
     "mixed":
