@@ -38,12 +38,11 @@ from .grid import _hypot
 DEGENERACY_RTOL = 1e-13
 # Relative determinant floor for the 2x2 normal matrix.
 SINGULARITY_EPS = 1e-12
-# Cells per block of lsq_table: bounds its temporary arrays, which set the
-# peak memory of analyze on large grids.
-BLOCK = 1024
-# Row entries per block of the vertex stencil build, which bounds its
-# temporary arrays likewise.
-VERTEX_ENTRIES = 2**18
+# Stencil entries per block, which bound the temporary arrays of both
+# blocked loops and so the peak memory of analyze on large grids: the
+# neighbors of lsq_table's cells, cut at whole cells, and the padded rows of
+# the vertex stencil build. A row wider than this gets a block of its own.
+ENTRIES = 2**14
 # G's bump by the package's one exp rule (see _exp): ln 2 rounded; fdlibm's
 # split of ln 2 (Cody & Waite) into a high part of 32 significant bits, so
 # that k * LN2_HI is exact for |k| < 2**21, and the low part; and the
@@ -135,7 +134,7 @@ def _vertex_rows(grid, index_type):
     """Vertex-mode CSR (indptr, indices) of :func:`_adjacency`. Each cell's
     row lists the cells at each of its nodes, every list padded to the
     block's largest by repeating its last cell, and is sorted; the repeats
-    and the cell itself are then dropped. Blocks hold about VERTEX_ENTRIES
+    and the cell itself are then dropped. Blocks hold about ENTRIES padded
     row entries, so a node shared by many cells shortens the blocks instead
     of widening every row."""
     n, cell_nodes = grid.n_cells, grid.cell_nodes
@@ -149,7 +148,7 @@ def _vertex_rows(grid, index_type):
     # A triangle's empty slot repeats its first node.
     nv = int(grid.cell_nverts.max(initial=3))
     nodes = np.where(cell_nodes >= 0, cell_nodes, cell_nodes[:, :1])[:, :nv]
-    step = max(1, VERTEX_ENTRIES // (nv * int(size.max(initial=1))))
+    step = max(1, ENTRIES // (nv * int(size.max(initial=1))))
     counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, index_type)]
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -170,11 +169,11 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
 
     A cell is degenerate where :func:`gridgauge.oracle.build_stencil` or
     :func:`gridgauge.oracle.build_system` would raise. Cells are taken in
-    blocks of BLOCK, and all arithmetic follows those scalar functions
-    operation for operation, so the table equals their results bit for
-    bit. With ``measures=False`` the table stops at the coefficients and
-    the degenerate flags, which is all the solver uses: F and G are not
-    computed, and ``f`` and ``g`` are None.
+    blocks of about ENTRIES neighbors, and all arithmetic follows those
+    scalar functions operation for operation, so the table equals their
+    results bit for bit. With ``measures=False`` the table stops at the
+    coefficients and the degenerate flags, which is all the solver uses: F
+    and G are not computed, and ``f`` and ``g`` are None.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
@@ -185,11 +184,11 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     fg = (np.empty(n), np.empty(n)) if measures else (None, None)
     table = LsqTable(np.empty(n, dtype=bool), *fg,
                      indptr, indices, np.empty(nnz), np.empty(nnz))
-    # G's factors per cell: the farthest neighbor distance and the bump's
-    # gradient, whose norm is taken once for the table.
-    smax, gx, gy = (np.empty(n) if measures else None for _ in range(3))
-    for lo in range(0, n, BLOCK):
-        rows = slice(lo, min(lo + BLOCK, n))
+    lo = 0
+    while lo < n:
+        # Whole rows within ENTRIES neighbors, or one row wider than that.
+        end = np.searchsorted(indptr, indptr[lo] + ENTRIES, "right") - 1
+        rows = slice(lo, max(int(end), lo + 1))
         flat = slice(indptr[rows.start], indptr[rows.stop])
         length = np.diff(indptr[rows.start:rows.stop + 1])
         row = np.repeat(np.arange(len(length)), length)
@@ -225,15 +224,11 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                 x, y = dx / far[row], dy / far[row]
                 q = -(x * x + y * y)
                 bump = _exp(q)
-                smax[rows] = far
-                gx[rows], gy[rows] = (rowsum(c * (bump - 1.0))
-                                      for c in (cx, cy))
+                gx, gy = (rowsum(c * (bump - 1.0)) for c in (cx, cy))
+                table.g[rows] = np.where(bad, np.nan, far * _hypot(gx, gy))
                 s = rowsum(w2 * d)
                 table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
         table.degenerate[rows] = bad
         table.cx[flat], table.cy[flat] = cx, cy
-    if measures:
-        with np.errstate(over="ignore", invalid="ignore"):
-            table.g[:] = np.where(table.degenerate, np.nan,
-                                  smax * _hypot(gx, gy))
+        lo = rows.stop
     return table

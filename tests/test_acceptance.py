@@ -22,7 +22,8 @@ from gridgauge import (
     residual_second_order,
 )
 from gridgauge.oracle import build_stencil, build_system, f_measure, g_measure
-from tests.test_lsq import dense_oracle_coefficients, make_stencil
+from tests.helpers import make_stencil
+from tests.test_lsq import dense_oracle_coefficients
 
 
 @contextlib.contextmanager

@@ -18,24 +18,16 @@ from gridgauge import (
     replace_nodes,
 )
 from gridgauge.oracle import (
-    Stencil,
     _vertex_adjacency,
     apply_gradient,
     build_stencil,
     build_system,
-    distance,
     f_measure,
     g_measure,
 )
 from gridgauge import lsq
 from gridgauge.solver import _Advection
-
-
-def make_stencil(dx, dy):
-    dx = tuple(float(v) for v in dx)
-    dy = tuple(float(v) for v in dy)
-    d = tuple(distance(a, b) for a, b in zip(dx, dy))
-    return Stencil(cell=0, neighbors=tuple(range(1, len(dx) + 1)), dx=dx, dy=dy, d=d)
+from tests.helpers import make_stencil, notch_grid
 
 
 def dense_oracle_coefficients(stencil, p):
@@ -204,14 +196,6 @@ def test_unit_impulse_reproduction():
         assert gy == pytest.approx(1.0, abs=1e-12)
 
 
-def notch_grid():
-    """4x2 quads without the two top-right cells: cell 2 has two collinear
-    face neighbors (singular), cell 3 one neighbor (degenerate)."""
-    quad = generate(GenSpec(kind="quad", nx=5, ny=3))
-    return derive_geometry(Grid(name="notch", nodes=quad.nodes,
-                                cell_nodes=quad.cell_nodes[:6]))
-
-
 def far_grid():
     """2x2 quads plus one cell so far away that the block's centroid
     spacing falls below the degeneracy threshold."""
@@ -261,11 +245,13 @@ def scalar_table(grid, p, mode):
 @pytest.mark.parametrize(
     "kind",
     ["quad", "quad_ar", "tri_regular", "tri_irregular", "notch", "far", "huge",
-     "tiny"],
+     "tiny", "fan"],
 )
 def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
     if kind == "notch":
         grid = notch_grid()
+    elif kind == "fan":
+        grid = fan_grid(300)
     elif kind == "far":
         grid = far_grid()
     elif kind == "huge":
@@ -278,20 +264,23 @@ def test_lsq_table_matches_scalar_path(kind, mode, p, monkeypatch):
         grid = replace_nodes(grid, grid.nodes * 1e-80)
     else:
         grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=4))
-    # Blocks smaller than the grid, not dividing its cell count.
-    monkeypatch.setattr(lsq, "BLOCK", 100 if grid.n_cells > 100 else 4)
     bad, f, g, ops = scalar_table(grid, p, mode)
-    table = lsq.lsq_table(grid, p, mode)
-    assert np.array_equal(table.degenerate, bad)
-    assert np.array_equal(table.f, f, equal_nan=True)
-    assert np.array_equal(table.g, g, equal_nan=True)
-    advection = _Advection(grid, 30.0, p, mode)
-    for got, want in zip((advection.gx_op, advection.gy_op), ops):
-        want.eliminate_zeros()
-        assert got.has_sorted_indices
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+    # Blocks of a few cells, not dividing the grid's stencil entries, and
+    # blocks of one cell. The fan's vertex rows, 299 entries each, are wider
+    # than either budget.
+    for entries in (100 if grid.n_cells > 100 else 4, 1):
+        monkeypatch.setattr(lsq, "ENTRIES", entries)
+        table = lsq.lsq_table(grid, p, mode)
+        assert np.array_equal(table.degenerate, bad)
+        assert np.array_equal(table.f, f, equal_nan=True)
+        assert np.array_equal(table.g, g, equal_nan=True)
+        advection = _Advection(grid, 30.0, p, mode)
+        for got, want in zip((advection.gx_op, advection.gy_op), ops):
+            want.eliminate_zeros()
+            assert got.has_sorted_indices
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
     if kind == "notch":
         assert bad[3] and bad[2] == (mode == "face")
     if kind == "far" or (kind in ("huge", "tiny") and p == 0):
@@ -335,15 +324,17 @@ def vertex_grid(kind):
     return generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=4))
 
 
-@pytest.mark.parametrize("entries", [lsq.VERTEX_ENTRIES, 50])
+@pytest.mark.parametrize("entries", [2**18, lsq.ENTRIES, 50, 1])
 @pytest.mark.parametrize("kind", ["quad", "quad_ar", "tri_regular",
                                   "tri_irregular", "unused-node", "one-cell",
                                   "fan"])
 def test_vertex_stencil_equals_scalar_neighbor_lists(kind, entries,
                                                      monkeypatch):
-    # With 50 row entries a block holds a few cells, or one on the fan.
+    # 2**18 padded row entries hold each grid but the fan in one block. With
+    # 50, below the fan's padded row width of 6,000, a block holds a few
+    # cells, or one on the fan; with 1, one cell on every grid.
     grid = vertex_grid(kind)
-    monkeypatch.setattr(lsq, "VERTEX_ENTRIES", entries)
+    monkeypatch.setattr(lsq, "ENTRIES", entries)
     indptr, indices = lsq._adjacency(grid, "vertex")
     lists = _vertex_adjacency(grid)
     assert indptr.dtype == np.int64 and indices.dtype == np.int32
@@ -366,3 +357,22 @@ def test_vertex_stencil_memory_on_a_fan():
         tracemalloc.stop()
     assert len(indices) == 2000 * 1999
     assert peak <= 3 * (indptr.nbytes + indices.nbytes)
+
+
+def test_lsq_table_memory_on_a_fan():
+    # Blocks bounded by stencil entries keep the table's temporaries small
+    # beside its output even where every row is 599 entries wide. Blocks of
+    # 1,024 cells peaked at 8.2 times the output here, 5.1 times without
+    # measures.
+    grid = fan_grid(600)
+    for measures in (True, False):
+        lsq.lsq_table(grid, 0, "vertex", measures=measures)
+        tracemalloc.start()
+        try:
+            table = lsq.lsq_table(grid, 0, "vertex", measures=measures)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = (table.degenerate, table.f, table.g, table.indptr,
+                  table.indices, table.cx, table.cy)
+        assert peak <= 2 * sum(a.nbytes for a in fields if a is not None)

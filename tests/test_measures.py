@@ -16,7 +16,7 @@ from gridgauge import (
     write_vtk,
 )
 from gridgauge.oracle import build_stencil, build_system, f_measure, g_measure
-from tests.test_lsq import make_stencil
+from tests.helpers import make_stencil
 
 CROSS = make_stencil([1, -1, 0, 0], [0, 0, 1, -1])
 LSHAPE = make_stencil([1, 0, -1], [0, 1, 0])

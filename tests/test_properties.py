@@ -1,5 +1,6 @@
 """Property tests of the grid core on small random grids."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -128,18 +129,21 @@ def test_lsq_table_equals_scalar_oracle(spec):
     for mode in ("face", "vertex"):
         for p in (0, 1):
             bad, f, g, ops = scalar_table(grid, p, mode)
-            # Blocks of 16 cells, so that most grids span several.
-            with mock.patch.object(lsq, "BLOCK", 16):
-                table = lsq.lsq_table(grid, p, mode)
-            assert np.array_equal(table.degenerate, bad)
-            assert np.array_equal(table.f, f, equal_nan=True)
-            assert np.array_equal(table.g, g, equal_nan=True)
-            for coefficients, op in zip((table.cx, table.cy), ops):
-                want = op.toarray()
-                np.fill_diagonal(want, 0.0)
-                got = sp.csr_matrix((coefficients, table.indices,
-                                     table.indptr), shape=op.shape).toarray()
-                assert np.array_equal(got, want)
+            # Blocks of 16 stencil entries, so that most grids span several,
+            # and of one cell, so that all do.
+            for entries in (16, 1):
+                with mock.patch.object(lsq, "ENTRIES", entries):
+                    table = lsq.lsq_table(grid, p, mode)
+                assert np.array_equal(table.degenerate, bad)
+                assert np.array_equal(table.f, f, equal_nan=True)
+                assert np.array_equal(table.g, g, equal_nan=True)
+                for coefficients, op in zip((table.cx, table.cy), ops):
+                    want = op.toarray()
+                    np.fill_diagonal(want, 0.0)
+                    got = sp.csr_matrix((coefficients, table.indices,
+                                         table.indptr),
+                                        shape=op.shape).toarray()
+                    assert np.array_equal(got, want)
 
 
 @SETTINGS
@@ -147,8 +151,8 @@ def test_lsq_table_equals_scalar_oracle(spec):
 def test_coefficient_table_equals_full_table(spec):
     grid = generate(spec)
     for mode in ("face", "vertex"):
-        for p in (0, 1):
-            with mock.patch.object(lsq, "BLOCK", 16):
+        for p, entries in itertools.product((0, 1), (16, 1)):
+            with mock.patch.object(lsq, "ENTRIES", entries):
                 full = lsq.lsq_table(grid, p, mode)
                 table = lsq.lsq_table(grid, p, mode, measures=False)
             assert table.f is None and table.g is None
@@ -196,16 +200,17 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
 @given(all_kinds, st.randoms(use_true_random=False))
 def test_adjacency_equals_scalar_neighbor_lists(spec, rnd):
     # Cells in random order, so that a cell's neighbors are not near it in
-    # number; blocks of 100 row entries, a few cells, so that the vertex
-    # rows span several.
+    # number; blocks of 100 padded row entries, a few cells, and of one
+    # cell, so that the vertex rows span several.
     grid = generate(spec)
     order = list(range(grid.n_cells))
     rnd.shuffle(order)
     grid = Grid(name=grid.name, nodes=grid.nodes,
                 cell_nodes=grid.cell_nodes[order])
-    for mode, scalar in (("face", _face_adjacency),
-                         ("vertex", _vertex_adjacency)):
-        with mock.patch.object(lsq, "VERTEX_ENTRIES", 100):
+    for (mode, scalar), entries in itertools.product(
+            (("face", _face_adjacency), ("vertex", _vertex_adjacency)),
+            (100, 1)):
+        with mock.patch.object(lsq, "ENTRIES", entries):
             indptr, indices = lsq._adjacency(grid, mode)
         assert indptr[0] == 0
         assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] \

@@ -9,7 +9,7 @@ import pytest
 from gridgauge import GenSpec, Grid, generate, grid_to_text, write_vtk
 from gridgauge.grid import cell_lines
 from gridgauge.lsq import lsq_table
-from tests.test_lsq import notch_grid
+from tests.helpers import notch_grid
 
 # sha256 of write_vtk's output with the F/G fields of lsq_table, and of
 # grid_to_text, as the per-value writers of earlier versions formatted them.
