@@ -135,8 +135,9 @@ def _vertex_rows(grid, index_type):
     row lists the cells at each of its nodes, every list padded to the
     block's largest by repeating its last cell, and is sorted; the repeats
     and the cell itself are then dropped. Blocks hold about ENTRIES padded
-    row entries, so a node shared by many cells shortens the blocks instead
-    of widening every row."""
+    row entries, each sized by the most shared node among its own cells, so
+    a node shared by many cells shortens only the blocks that use it
+    instead of widening every row."""
     n, cell_nodes = grid.n_cells, grid.cell_nodes
     verts = cell_nodes[cell_nodes >= 0]
     cells = np.repeat(np.arange(n, dtype=index_type), grid.cell_nverts)
@@ -148,10 +149,16 @@ def _vertex_rows(grid, index_type):
     # A triangle's empty slot repeats its first node.
     nv = int(grid.cell_nverts.max(initial=3))
     nodes = np.where(cell_nodes >= 0, cell_nodes, cell_nodes[:, :1])[:, :nv]
-    step = max(1, ENTRIES // (nv * int(size.max(initial=1))))
+    # The padded row width of each cell alone: a block of k cells pads k
+    # times its widest, so it holds at most ENTRIES // width[lo] cells.
+    width = nv * size[nodes].max(axis=1, initial=1)
     counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, index_type)]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    lo = 0
+    while lo < n:
+        padded = np.maximum.accumulate(
+            width[lo:lo + max(1, ENTRIES // int(width[lo]))])
+        padded *= np.arange(1, len(padded) + 1)
+        hi = lo + max(1, int(np.count_nonzero(padded <= ENTRIES)))
         v = nodes[lo:hi, :, None]
         at = first[v] + np.arange(size[v].max())
         np.minimum(at, last[v], out=at)
@@ -160,6 +167,7 @@ def _vertex_rows(grid, index_type):
         keep[:, 1:] &= row[:, 1:] != row[:, :-1]
         counts.append(np.count_nonzero(keep, axis=1))
         indices.append(row.ravel()[keep.ravel()])
+        lo = hi
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return indptr, np.concatenate(indices)
 

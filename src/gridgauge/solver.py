@@ -28,7 +28,16 @@ level by level in NumPy, x = r / D and then, level after level,
 x[rows] = (r[rows] - S[rows] @ x) / D[rows], with D the diagonal and S the
 zero-free strict part; each row is summed from +0.0 in ascending column
 order, which rests on IEEE arithmetic alone. A deeper triangle goes to
-SuperLU, factored once with J's stored zeros, whose bits it depends on.
+SuperLU, factored once with J's stored zeros, whose bits it depends on, and
+with panel_size=1: a triangle factors without updates, having nothing below
+its diagonal to eliminate, so the panel width sizes only SuperLU's work
+arrays, which are allocated in C and grow with it, and cannot change a bit
+of the factors.
+
+J, Kx and Ky have one CSR pattern, built once from the face adjacency, and
+each sums its terms per entry in the order of a COO-to-CSR assembly; Gx and
+Gy get their diagonals by a per-row insert. Each operator owns arrays of
+exactly its entries (see _Advection for the order of the build).
 
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import check_stencils, lsq_table
+from .lsq import _adjacency, check_stencils, lsq_table
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
@@ -121,72 +130,150 @@ class SolveReport:
 
 
 class _Advection:
-    """R(u) = J u + Kx (Gx u) + Ky (Gy u) - b, with J, Kx, Ky from one rule."""
+    """R(u) = J u + Kx (Gx u) + Ky (Gy u) - b, with J, Kx, Ky from one rule.
+
+    Each operator owns arrays of exactly its nnz entries. J, Kx, Ky and b
+    come first and Gx, Gy last, so that the working arrays of the first
+    build are gone before the LSQ table, the largest transient, exists."""
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
         import scipy.sparse as sp
 
         n = grid.n_cells
-        t = math.radians(theta)
-        fa = grid.face_arrays
-        own, nb = fa.owner, fa.neighbor
-        inner, outer = nb != -1, nb == -1
-
-        def upwind(c):
-            """Weights (up, dn) of the flux up x_near + dn x_far out of a face
-            side whose outward normal has a.n = c."""
-            return (0.5 * (c + np.abs(c)) * fa.length,
-                    0.5 * (c - np.abs(c)) * fa.length)
-
-        # (up, dn) on the owner's side; (vp, vn) on the neighbor's. These
-        # equal (-dn, -up), so what leaves one cell enters the other, but
-        # negating would flip the sign of zero weights in J's pinned bytes.
-        c = math.cos(t) * fa.normal[:, 0] + math.sin(t) * fa.normal[:, 1]
-        (up, dn), (vp, vn) = upwind(c), upwind(-c)
-
-        def faces(so, sn):
-            """Sum over the sides of all faces of the flux out of that side,
-            with the owner's state scaled by so and the neighbor's by sn; a
-            boundary face has only its owner's side."""
-            o, m, ob = own[inner], nb[inner], own[outer]
-            rows = np.concatenate([o, o, m, m, ob])
-            cols = np.concatenate([o, m, m, o, ob])
-            vals = np.concatenate([(up * so)[inner], (dn * sn)[inner],
-                                   (vp * sn)[inner], (vn * so)[inner],
-                                   (up * so)[outer]])
-            return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-        # Face states are reconstructed to the midpoint m from the centroid
-        # c_j, u_j + (m - c_j) . grad u_j, so Kx scales x_j by mx - cx_j.
-        cx, cy = grid.centroids.T
-        mx, my = fa.midpoint.T
-        self.jac = faces(np.ones(len(c)), np.ones(len(c)))
-        self.kx = faces(mx - cx[own], mx - cx[nb])
-        self.ky = faces(my - cy[own], my - cy[nb])
-        # A boundary face's far state is the inflow data.
-        ub = np.asarray(inflow(mx[outer], my[outer]), dtype=float)
-        self.b = source(cx, cy, theta) * grid.areas \
-            - np.bincount(own[outer], weights=dn[outer] * ub, minlength=n)
-
+        self.jac, self.kx, self.ky, self.b = _face_operators(
+            grid, theta, source, inflow)
         # The stencils' degenerate flags, for the solve's check; not the
         # whole table, which would stay alive through the solve.
         if first_order:
             self.degenerate = np.zeros(n, dtype=bool)
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
-            # Gx, Gy with rows summing to zero, so grad = (Gx u, Gy u); their
-            # row sums follow the order rule of the lsq module docstring. The
-            # subtraction drops zeros, so degenerate rows are empty.
-            table = lsq_table(grid, p, stencil_mode, measures=False)
-            self.degenerate = table.degenerate
-            ops = [sp.csr_matrix((c, table.indices, table.indptr), shape=(n, n))
-                   for c in (table.cx, table.cy)]
-            self.gx_op, self.gy_op = (g - sp.diags(g @ np.ones(n)) for g in ops)
+            self.degenerate, self.gx_op, self.gy_op = _gradient_operators(
+                grid, p, stencil_mode)
 
     def residual(self, u):
         return (self.jac @ u + self.kx @ (self.gx_op @ u)
                 + self.ky @ (self.gy_op @ u) - self.b)
+
+
+def _face_operators(grid, theta, source, inflow):
+    """J, Kx, Ky and b of _Advection."""
+    import scipy.sparse as sp
+
+    n = grid.n_cells
+    indptr, indices, slots = _face_pattern(grid)
+    t = math.radians(theta)
+    fa = grid.face_arrays
+    own, nb = fa.owner, fa.neighbor
+    inner, outer = nb != -1, nb == -1
+    c = math.cos(t) * fa.normal[:, 0] + math.sin(t) * fa.normal[:, 1]
+
+    def upwind(c):
+        """Weights (up, dn) of the flux up x_near + dn x_far out of a face
+        side whose outward normal has a.n = c."""
+        return (0.5 * (c + np.abs(c)) * fa.length,
+                0.5 * (c - np.abs(c)) * fa.length)
+
+    def faces(so, sn):
+        """Sum over the sides of all faces of the flux out of that side,
+        with the owner's state scaled by so and the neighbor's by sn; a
+        boundary face has only its owner's side. Each entry adds its terms
+        in the order of the slots, from -0.0 so that the first passes
+        unchanged: x = first, then x += next, as SciPy sums the duplicates
+        of a COO matrix. J's pinned bytes, stored zeros included, rest on
+        that order."""
+        # (up, dn) on the owner's side; (vp, vn) on the neighbor's. These
+        # equal (-dn, -up), so what leaves one cell enters the other, but
+        # negating would flip the sign of zero weights in J's pinned bytes.
+        (up, dn), (vp, vn) = upwind(c), upwind(-c)
+        data = np.full(len(indices), -0.0)
+        for slot, w in zip(slots, ((up * so)[inner], (dn * sn)[inner],
+                                   (vp * sn)[inner], (vn * so)[inner],
+                                   (up * so)[outer])):
+            np.add.at(data, slot, w)
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                             shape=(n, n))
+
+    # Face states are reconstructed to the midpoint m from the centroid
+    # c_j, u_j + (m - c_j) . grad u_j, so Kx scales x_j by mx - cx_j.
+    cx, cy = grid.centroids.T
+    mx, my = fa.midpoint.T
+    jac = faces(1.0, 1.0)
+    kx = faces(mx - cx[own], mx - cx[nb])
+    ky = faces(my - cy[own], my - cy[nb])
+    # A boundary face's far state is the inflow data.
+    ub = np.asarray(inflow(mx[outer], my[outer]), dtype=float)
+    dn = upwind(c)[1]
+    b = source(cx, cy, theta) * grid.areas \
+        - np.bincount(own[outer], weights=dn[outer] * ub, minlength=n)
+    return jac, kx, ky, b
+
+
+def _with_diagonal(indptr, indices):
+    """A CSR pattern (indptr, indices) whose rows are ascending and lack
+    their own column, as lsq's stencils do, with it inserted: the new
+    (indptr, indices) and the positions of the diagonal in them."""
+    n = len(indptr) - 1
+    row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    at = indptr[:-1] + np.bincount(row[indices < row], minlength=n)
+    del row
+    cells = np.arange(n, dtype=indices.dtype)
+    return (indptr + np.arange(n + 1), np.insert(indices, at, cells),
+            at + cells)
+
+
+def _face_pattern(grid):
+    """J's CSR pattern (indptr, indices), each cell's own column and its
+    face neighbors' ascending, and the slots that the sides of the faces
+    add to, in the order they add: owner-owner, owner-neighbor,
+    neighbor-neighbor and neighbor-owner of each interior face, then
+    owner-owner of each boundary face."""
+    fa = grid.face_arrays
+    inner = fa.neighbor != -1
+    o, m, ob = fa.owner[inner], fa.neighbor[inner], fa.owner[~inner]
+    n = grid.n_cells
+    indptr, indices, diag = _with_diagonal(*_adjacency(grid, "face"))
+    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    key += indices
+    # Half the memory of np.intp; slots index entries, up to len(indices).
+    slot_type = np.int32 if len(indices) < 2**31 else np.intp
+    slots = (diag[o], np.searchsorted(key, o * n + m), diag[m],
+             np.searchsorted(key, m * n + o), diag[ob])
+    return indptr, indices, [s.astype(slot_type) for s in slots]
+
+
+def _gradient_operators(grid, p, stencil_mode):
+    """The degenerate flags of the LSQ table and its Gx and Gy: the table's
+    coefficients with their row sums subtracted on the diagonal, so that
+    rows sum to zero and grad = (Gx u, Gy u). Row sums follow the order rule
+    of the lsq module docstring. Zeros are dropped, so degenerate rows are
+    empty. Each table array is released once no operator needs it."""
+    import scipy.sparse as sp
+
+    table = lsq_table(grid, p, stencil_mode, measures=False)
+    n = grid.n_cells
+    degenerate, coefficients = table.degenerate, [table.cx, table.cy]
+    indptr, indices, diag = _with_diagonal(table.indptr, table.indices)
+    del table
+
+    def gradient(c):
+        data = np.insert(c, diag - np.arange(n), 0.0)
+        del c
+        # The diagonal's +0.0 term cannot change a nonzero row sum.
+        data[diag] = 0.0 - sp.csr_matrix((data, indices, indptr),
+                                         shape=(n, n)) @ np.ones(n)
+        keep = data != 0
+        if keep.all():
+            ptr, ind = indptr.copy(), indices.copy()
+        else:
+            counts = np.add.reduceat(keep, indptr[:-1], dtype=np.intp)
+            ptr = np.concatenate([[0], np.cumsum(counts)])
+            data, ind = data[keep], indices[keep]
+        return sp.csr_matrix((data, ind, ptr), shape=(n, n))
+
+    gx = gradient(coefficients.pop(0))
+    return degenerate, gx, gradient(coefficients.pop(0))
 
 
 def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",
@@ -263,7 +350,8 @@ def _triangle_solver(tri):
     strict.sort_indices()
     level = _levels(strict)
     if level is None:
-        return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         panel_size=1)
     return _LevelSolve(tri.diagonal(), strict, level)
 
 

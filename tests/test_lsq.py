@@ -310,6 +310,16 @@ def fan_grid(n):
 def vertex_grid(kind):
     if kind == "fan":
         return fan_grid(2000)
+    if kind == "grid+fan":
+        # 32,768 cells, and apart from them a fan of 600 around one node,
+        # whose wide rows must not shorten the blocks of the grid's cells.
+        tri = generate(GenSpec(kind="tri_irregular", nx=129, ny=129,
+                               perturb=0.3, seed=4))
+        fan = fan_grid(600)
+        return derive_geometry(Grid(
+            name="grid+fan", nodes=np.vstack([tri.nodes, fan.nodes + 3.0]),
+            cell_nodes=np.vstack([tri.cell_nodes, np.where(
+                fan.cell_nodes >= 0, fan.cell_nodes + len(tri.nodes), -1)])))
     if kind == "unused-node":
         # Node 0 belongs to no cell.
         quad = generate(GenSpec(kind="quad", nx=4, ny=4))
@@ -327,12 +337,15 @@ def vertex_grid(kind):
 @pytest.mark.parametrize("entries", [2**18, lsq.ENTRIES, 50, 1])
 @pytest.mark.parametrize("kind", ["quad", "quad_ar", "tri_regular",
                                   "tri_irregular", "unused-node", "one-cell",
-                                  "fan"])
+                                  "fan", "grid+fan"])
 def test_vertex_stencil_equals_scalar_neighbor_lists(kind, entries,
                                                      monkeypatch):
-    # 2**18 padded row entries hold each grid but the fan in one block. With
-    # 50, below the fan's padded row width of 6,000, a block holds a few
-    # cells, or one on the fan; with 1, one cell on every grid.
+    # 2**18 padded row entries hold each small grid but the fan in one
+    # block. With 50, below the fan's padded row width of 6,000, a block
+    # holds a few cells, or one on the fan; with 1, one cell on every grid.
+    # On grid+fan, blocks of the grid's cells and blocks of fan cells are
+    # sized apart, and one block may hold the grid's last cells and the
+    # fan's first.
     grid = vertex_grid(kind)
     monkeypatch.setattr(lsq, "ENTRIES", entries)
     indptr, indices = lsq._adjacency(grid, "vertex")

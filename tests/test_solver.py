@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,72 @@ def test_deep_triangle_goes_to_superlu(monkeypatch):
             assert solver._levels(strict).max() == 31
             m.setattr(solver, "MAX_LEVELS", 30)
             assert solver._levels(strict) is None
+
+
+def test_triangle_factor_ignores_panel_size(monkeypatch):
+    # A triangle factors with nothing to eliminate, so SuperLU's panel width
+    # only sizes its work arrays: the solver's factor, whatever its panel
+    # width, equals the factor at SciPy's default width bit for bit, up to
+    # the order of U's entries within a column, and so do the solves.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    def same(a, b):
+        return (a.indptr.tobytes() == b.indptr.tobytes()
+                and a.indices.tobytes() == b.indices.tobytes()
+                and a.data.tobytes() == b.data.tobytes())
+
+    monkeypatch.setattr(solver, "_levels", lambda strict: None)
+    for kind in KINDS:
+        for nx in (17, 33):
+            for seed in (0, 7):
+                grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
+                                        seed=seed))
+                r = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                        grid.n_cells)
+                for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
+                    jac = jacobian_low_order(grid, theta)
+                    for side in (sp.tril, sp.triu):
+                        tri = side(jac, format="csc")
+                        got = solver._triangle_solver(tri)
+                        want = spla.splu(tri, permc_spec="NATURAL",
+                                         diag_pivot_thresh=0.0)
+                        assert same(got.L, want.L)
+                        u, v = got.U, want.U
+                        u.sort_indices()
+                        v.sort_indices()
+                        assert same(u, v)
+                        assert (got.solve(r).tobytes()
+                                == want.solve(r).tobytes())
+
+
+@pytest.mark.parametrize("kind, mode", [("tri_regular", "face"),
+                                        ("tri_irregular", "vertex")])
+def test_operator_build_memory(kind, mode):
+    # Each operator owns arrays of exactly its nnz entries, and the build's
+    # peak stays within 1.75 times what it keeps. The COO builds it replaced
+    # kept 2.4 MiB of buffers sized for the unsummed entries and peaked at
+    # 2.04 and 1.86 times the operators.
+    def buffer_nbytes(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a.nbytes
+
+    solver._Advection(generate(GenSpec(kind=kind, nx=5, ny=5)), 30.0, 0, mode)
+    grid = generate(GenSpec(kind=kind, nx=129, ny=129, perturb=0.3, seed=42))
+    tracemalloc.start()
+    try:
+        op = solver._Advection(grid, 30.0, 0, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = op.b.nbytes
+    for m in (op.jac, op.kx, op.ky, op.gx_op, op.gy_op):
+        for a in (m.data, m.indices):
+            assert len(a) == m.nnz
+            assert buffer_nbytes(a) == a.nbytes
+        kept += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert peak <= 1.75 * kept
 
 
 def per_face_residual(grid, u, theta, p, mode, first_order):
