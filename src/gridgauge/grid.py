@@ -37,6 +37,9 @@ _BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _LINE_WORDS = np.frombuffer(b"3\0\0\0\0\0\0\0" b"4\0\0\0\0\0\0\0"
                             b"\n\0\0\0\0\0\0\0", np.uint64)
 _NODE_WORD = bytes.maketrans(b"\x01 ", b" \0")
+# Lines per block of the node and cell lines that the writers build, which
+# bounds their temporaries.
+_LINES = 1 << 12
 
 
 class _CellFault(GridFormatError):
@@ -151,19 +154,23 @@ def parse_grid(source):
         :func:`derive_geometry`.
     """
     try:
-        # A text stream decodes in its read().
-        text = source.read() if hasattr(source, "read") else source
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+        # A text stream decodes in its read(); ASCII bytes need no decoding.
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, bytes) and not data.isascii():
+            data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
-    parsed = _parse_bulk(text, "")
+    if isinstance(data, str):
+        if not data.isascii():
+            return _parse_lines(data, "")
+        data = data.encode("ascii")
+    parsed = _parse_bulk(data, "")
     if parsed is not None:
         try:
             return Grid(*parsed)
         except GridFormatError:
             pass
-    return _parse_lines(text, "")
+    return _parse_lines(data.decode("ascii"), "")
 
 
 def _decode_error(exc):
@@ -178,17 +185,14 @@ def _decode_error(exc):
         f"offset {exc.start}", line=len(head.splitlines()))
 
 
-def _parse_bulk(text, name):
-    """parse_grid for ASCII files whose comment and blank lines all precede
+def _parse_bulk(data, name):
+    """parse_grid for ASCII bytes whose comment and blank lines all precede
     the header, converting all nodes and all cells at once into the
     :class:`Grid` arguments (name, nodes, cell_nodes). Returns None for any
     other file and wherever its tokens are not the numbers of a grid file;
     :func:`_parse_lines` then parses the file or raises the error of its
     first bad line. Which cells are valid is for :func:`derive_geometry`
     to judge."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     end = -1
@@ -209,27 +213,35 @@ def _parse_bulk(text, name):
         n_nodes, n_cells = map(int, line.split())
     except ValueError:
         return None
-    body = data[end + 1:]
-    if min(n_nodes, n_cells) < 0 or body.translate(None, _BODY_BYTES):
+    # The body holds only _BODY_BYTES when deleting them from the whole
+    # file leaves what deleting them leaves of the lines before the body.
+    if min(n_nodes, n_cells) < 0 or (data.translate(None, _BODY_BYTES)
+                                     != data[:end].translate(None,
+                                                             _BODY_BYTES)):
         return None
     # Line ends and the number of tokens on each line, from the header's
     # line feed on; every body byte above the space belongs to a token.
     b = np.frombuffer(data, np.uint8, offset=end)
     ends = np.flatnonzero(b[1:] == _LF)
     if not data.endswith(b"\n"):
-        ends = np.append(ends, len(body))
+        ends = np.append(ends, len(b) - 1)
     token = b > _SPACE
     starts = np.flatnonzero(token[1:] > token[:-1])
+    del token
     counts = np.diff(np.searchsorted(starts, ends), prepend=0)
+    del starts
     if len(ends) != n_nodes + n_cells or (counts[:n_nodes] != 2).any():
         return None
     lengths = counts[n_nodes:]
-    split = int(ends[n_nodes - 1]) + 1 if n_nodes else 0
-    node_text, cell_text = body[:split], body[split:]
+    # The node and the cell lines, as views of the body b[1:].
+    split = int(ends[n_nodes - 1]) + 2 if n_nodes else 1
+    node_text, cell_text = b[1:split], b[split:]
+    cells_at = end + split
     # Cell lines hold integers only; numpy reads a lone sign as 0.
-    if (lengths < 4).any() or any(c in cell_text for c in b".eE") or (
-            (b"+" in cell_text or b"-" in cell_text)
-            and _LONE_SIGN.search(cell_text)):
+    if (lengths < 4).any() or any(data.find(c, cells_at) >= 0
+                                  for c in b".eE") or (
+            (data.find(b"+", cells_at) >= 0 or data.find(b"-", cells_at) >= 0)
+            and _LONE_SIGN.search(data, cells_at)):
         return None
     try:
         with warnings.catch_warnings():
@@ -244,17 +256,16 @@ def _parse_bulk(text, name):
         return None
     nodes = nodes.reshape(n_nodes, 2)
     first = np.cumsum(lengths) - lengths
-    nverts = flat[first].astype(np.intp)
-    inside = _SLOTS < nverts[:, None]
+    nverts = flat[first]
+    # A vertex -1 would read as padding; the counts are 3 or 4.
     if not (np.isfinite(nodes).all() and ((nverts == 3) | (nverts == 4)).all()
-            and (lengths == nverts + 1).all()):
+            and (lengths == nverts + 1).all() and flat.min(initial=0) >= 0):
         return None
-    verts = flat[(first[:, None] + 1 + _SLOTS)[inside]]
-    # A vertex -1 would read as padding.
-    if (verts < 0).any():
-        return None
+    # The tokens after each line's count are its vertices.
+    vertex = np.ones(len(flat), dtype=bool)
+    vertex[first] = False
     cell_nodes = np.full((n_cells, 4), -1, dtype=np.intp)
-    cell_nodes[inside] = verts
+    cell_nodes[_SLOTS < nverts[:, None]] = flat[vertex]
     return name, nodes, cell_nodes
 
 
@@ -373,13 +384,10 @@ def write_grid(grid, stream):
     if grid.name:
         stream.write(f"# name: {one_line(grid.name)}\n")
     stream.write(f"{grid.n_nodes} {grid.n_cells}\n")
-    stream.write(("%r %r\n" * grid.n_nodes) % _node_values(grid))
-    stream.write(cell_lines(grid))
-
-
-def _node_values(grid):
-    """The flat tuple x0, y0, x1, y1, ... of node coordinates as floats."""
-    return tuple(grid.nodes.astype(float).ravel().tolist())
+    for lo in range(0, grid.n_nodes, _LINES):
+        xy = grid.nodes[lo:lo + _LINES].astype(float, copy=False)
+        stream.write(("%r %r\n" * len(xy)) % tuple(xy.ravel().tolist()))
+    stream.writelines(cell_lines(grid))
 
 
 def one_line(text):
@@ -389,8 +397,8 @@ def one_line(text):
 
 
 def cell_lines(grid):
-    """One string of the lines "<nverts> v1 ... vn" of all cells, as grid
-    and VTK files list them.
+    """The lines "<nverts> v1 ... vn" of all cells, as grid and VTK files
+    list them, yielded in cell order as strings of at most _LINES lines.
 
     Each node index from the least to the greatest the cells use is
     formatted once, as a word of " <index>" padded with NUL bytes to a
@@ -399,7 +407,7 @@ def cell_lines(grid):
     cell's line once the NULs are deleted."""
     cells = grid.cell_nodes
     if not len(cells):
-        return ""
+        return
     # Viewed unsigned, the padding -1 is the greatest entry.
     lo, top = int(cells.view(np.uintp).min()), int(cells.max()) + 1
     width = -(-(len(str(top - 1)) + 1) // 8) * 8
@@ -409,13 +417,15 @@ def cell_lines(grid):
     words = np.zeros((top - lo + 1, width // 8), np.uint64)
     words[1:] = np.frombuffer(text.encode("ascii").translate(_NODE_WORD),
                               np.uint64).reshape(top - lo, -1)
-    rows = np.empty((len(cells), 4 * width // 8 + 2), np.uint64)
-    rows[:, 0] = _LINE_WORDS[grid.cell_nverts - 3]
-    # Clipped, the padding picks row 0.
-    rows[:, 1:-1] = np.take(words, cells - (lo - 1), axis=0,
-                            mode="clip").reshape(len(rows), -1)
-    rows[:, -1] = _LINE_WORDS[2]
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    for start in range(0, len(cells), _LINES):
+        block = cells[start:start + _LINES]
+        rows = np.empty((len(block), 4 * width // 8 + 2), np.uint64)
+        rows[:, 0] = _LINE_WORDS[grid.cell_nverts[start:start + _LINES] - 3]
+        # Clipped, the padding picks row 0.
+        rows[:, 1:-1] = np.take(words, block - (lo - 1), axis=0,
+                                mode="clip").reshape(len(rows), -1)
+        rows[:, -1] = _LINE_WORDS[2]
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def grid_to_text(grid):
@@ -454,10 +464,12 @@ def derive_geometry(grid):
     traversed twice in the same direction, reporting the first in that
     order; else for a cell whose centroid overflows, then for one whose
     centroid underflows.
+
+    Each step's temporaries end with it, so the peak memory is what the
+    grid keeps plus one step's working set.
     """
     nodes, cell_nodes = grid.nodes, grid.cell_nodes
     nverts = grid.cell_nverts = _cell_nverts(cell_nodes, len(nodes))
-    x, y = nodes[:, 0], nodes[:, 1]
     area, cx, cy, underflow = _fan(nodes, cell_nodes)
     bad = np.flatnonzero(~(area > 0.0))
     if len(bad):
@@ -467,36 +479,28 @@ def derive_geometry(grid):
     # Overflowing or underflowing centroids are rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         centroids = np.column_stack([cx / area, cy / area])
+    del cx, cy
+    key, flip = _edge_keys(cell_nodes, len(nodes))
+    first, second, third, face = _edge_groups(key)
 
-    # Every cell's edges in discovery order. An edge's first occurrence
-    # makes a face, its second gives the face's neighbor; faces are numbered
-    # in order of first occurrence. A cell's last edge ends at its vertex 0.
-    end, valid = np.roll(cell_nodes, -1, 1), cell_nodes >= 0
-    a, b = cell_nodes[valid], np.where(end >= 0, end, cell_nodes[:, :1])[valid]
-    cell = np.repeat(np.arange(len(nverts)), nverts)
-    key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
-    # The edges grouped by key, each group in discovery order.
-    perm = np.argsort(key, kind="stable")
-    start = np.flatnonzero(np.diff(key[perm], prepend=-1))
-    count = np.diff(start, append=len(key))
-    second = perm[start[count > 1] + 1]
-    third = perm[start[count > 2] + 2]
-    is_first = np.zeros(len(key), dtype=bool)
-    is_first[perm[start]] = True
-    first = np.flatnonzero(is_first)
-    # The face of each second edge.
-    face = (np.cumsum(is_first) - 1)[perm[start[count > 1]]]
-
-    na, nb = a[first], b[first]
+    # A face's first edge gives its nodes and owner, its second edge the
+    # neighbor. The second runs the other way unless the cells overlap.
+    lo, hi = np.divmod(key[first], len(nodes))
+    flipped = flip[first]
+    na, nb = np.where(flipped, hi, lo), np.where(flipped, lo, hi)
+    del lo, hi
+    twice = second[flip[second] == flipped[face]]
+    del flipped, flip
+    x, y = nodes[:, 0], nodes[:, 1]
     dx, dy = x[nb] - x[na], y[nb] - y[na]
     length = _hypot(dx, dy)
-    twice = second[(a[second] == na[face]) & (b[second] == nb[face])]
     faults = {"zero": first[length == 0.0], "twice": twice, "thrice": third}
     faults = [(int(e.min()), kind) for kind, e in faults.items() if len(e)]
     if faults:
         # The earliest faulty edge in discovery order is reported.
         i, kind = min(faults)
-        pair = (int(min(a[i], b[i])), int(max(a[i], b[i])))
+        pair = tuple(divmod(int(key[i]), len(nodes)))
+        cell = np.repeat(np.arange(len(nverts)), nverts)
         j = int(cell[i])
         if kind == "zero":
             raise GridFormatError(f"zero-length edge {pair} in cell {j}")
@@ -507,6 +511,7 @@ def derive_geometry(grid):
             f"edge {pair} traversed twice in the same direction "
             f"(cells {owner} and {j} overlap or are flipped)"
         )
+    del key
     bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
     if len(bad):
         raise _CellFault("has a non-finite centroid", int(bad[0]))
@@ -514,19 +519,50 @@ def derive_geometry(grid):
     if len(bad):
         raise _CellFault("has a centroid that underflows", int(bad[0]))
 
+    cell = np.repeat(np.arange(len(nverts)), nverts)
+    owner = cell[first]
     neighbor = np.full(len(first), -1, dtype=np.intp)
     neighbor[face] = cell[second]
+    del cell, first, second, face
     grid.centroids = centroids
     grid.areas = area
     grid.face_arrays = FaceArrays(
-        node_a=na, node_b=nb, owner=cell[first], neighbor=neighbor,
+        node_a=na, node_b=nb, owner=owner, neighbor=neighbor,
         normal=np.column_stack([dy / length, -dx / length]), length=length,
         midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
                                   (y[na] + y[nb]) / 2.0]),
     )
-    x0, y0, x1, y1 = grid.bbox if len(a) else (0.0,) * 4
+    x0, y0, x1, y1 = grid.bbox if len(na) else (0.0,) * 4
     grid.bbox_diagonal = float(_hypot(x1 - x0, y1 - y0))
     return grid
+
+
+def _edge_keys(cell_nodes, n_nodes):
+    """Every cell's edges in discovery order, each as the key lo * n_nodes +
+    hi of its node pair (lo <= hi) and a flag set where it runs from hi to
+    lo. A cell's last edge ends at its vertex 0."""
+    valid = cell_nodes >= 0
+    end = np.roll(cell_nodes, -1, 1)
+    np.copyto(end, cell_nodes[:, :1], where=end < 0)
+    a, b = cell_nodes[valid], end[valid]
+    flip = a > b
+    return np.minimum(a, b) * n_nodes + np.maximum(a, b), flip
+
+
+def _edge_groups(key):
+    """The edges grouped by key, each group in discovery order, as edge
+    numbers: the first edge of every group, which makes a face (faces are
+    numbered in order of first occurrence), the second and the third edge
+    of every group that has them, and the face of each second edge."""
+    perm = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[perm], prepend=-1))
+    count = np.diff(start, append=len(perm))
+    second = perm[start[count > 1] + 1]
+    third = perm[start[count > 2] + 2]
+    is_first = np.zeros(len(perm), dtype=bool)
+    is_first[perm[start]] = True
+    face = (np.cumsum(is_first) - 1)[perm[start[count > 1]]]
+    return np.flatnonzero(is_first), second, third, face
 
 
 def _fan(nodes, cell_nodes):

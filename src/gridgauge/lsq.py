@@ -11,8 +11,11 @@ data, giving per-neighbor coefficients (cx_k, cy_k) so that the gradient is
 the dot product sum_k (cx_k, cy_k) du_k. :func:`lsq_table` builds them for
 all cells at once, shared by the quality measures and the flow solver;
 :mod:`gridgauge.oracle` holds the per-cell reference it is tested against.
-The solver needs only the coefficients and the degenerate flags, so it
-builds a coefficient-only table, whose F and G fields are None.
+Each caller's table keeps only what it reads: the solver's holds the
+coefficients and the degenerate flags, and its F and G fields are None;
+the measures' table holds F, G and the degenerate flags, and its
+coefficient fields are None, as the coefficients are used up in the block
+that computes them.
 
 Every per-cell sum over a stencil is a ``np.bincount`` over the cells' rows
 of neighbors, which adds a row's values in neighbor order from +0.0, as the
@@ -59,8 +62,9 @@ class LsqTable:
 
     Row j of the CSR (indptr, indices, cx, cy) lists cell j's neighbors in
     ascending order with their coefficients, zero where ``degenerate``.
-    f and g are NaN where degenerate, and None in the coefficient-only
-    table the solver builds (``lsq_table(..., measures=False)``).
+    f and g are NaN where degenerate. The measures table
+    (``lsq_table(...)``) has cx and cy None, and the coefficient-only table
+    the solver builds (``lsq_table(..., measures=False)``) has f and g None.
     """
 
     degenerate: np.ndarray
@@ -179,9 +183,11 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     :func:`gridgauge.oracle.build_system` would raise. Cells are taken in
     blocks of about ENTRIES neighbors, and all arithmetic follows those
     scalar functions operation for operation, so the table equals their
-    results bit for bit. With ``measures=False`` the table stops at the
-    coefficients and the degenerate flags, which is all the solver uses: F
-    and G are not computed, and ``f`` and ``g`` are None.
+    results bit for bit. The table keeps F, G and the stencils, and its
+    ``cx`` and ``cy`` are None: each block's coefficients are dropped once
+    its F and G are taken. With ``measures=False`` it keeps the
+    coefficients and the degenerate flags instead, which is all the solver
+    uses: F and G are not computed, and ``f`` and ``g`` are None.
     """
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
@@ -190,8 +196,9 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
     xc, yc = grid.centroids.T
     tol = DEGENERACY_RTOL * grid.bbox_diagonal
     fg = (np.empty(n), np.empty(n)) if measures else (None, None)
-    table = LsqTable(np.empty(n, dtype=bool), *fg,
-                     indptr, indices, np.empty(nnz), np.empty(nnz))
+    coefficients = (None, None) if measures else (np.empty(nnz), np.empty(nnz))
+    table = LsqTable(np.empty(n, dtype=bool), *fg, indptr, indices,
+                     *coefficients)
     lo = 0
     while lo < n:
         # Whole rows within ENTRIES neighbors, or one row wider than that.
@@ -236,7 +243,8 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                 table.g[rows] = np.where(bad, np.nan, far * _hypot(gx, gy))
                 s = rowsum(w2 * d)
                 table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
+            else:
+                table.cx[flat], table.cy[flat] = cx, cy
         table.degenerate[rows] = bad
-        table.cx[flat], table.cy[flat] = cx, cy
         lo = rows.stop
     return table

@@ -23,8 +23,8 @@ that text for a whole array with NumPy alone, bit for bit:
 
 The CELLS block comes from :func:`gridgauge.grid.cell_lines`, which the
 grid files share: one ``%`` call formats each node index once into a table
-of NUL-padded " <index>" words, the cells' rows gather them, and the NULs
-are deleted as above. The CELL_TYPES block is the two-byte words "5\\n"
+of NUL-padded " <index>" words, each block of cells' rows gathers them, and
+the NULs are deleted as above. The CELL_TYPES block is the two-byte words "5\\n"
 and "9\\n" gathered by vertex count.
 """
 
@@ -103,7 +103,7 @@ def _write(out, grid, cell_data, title):
               f"DATASET UNSTRUCTURED_GRID\nPOINTS {grid.n_nodes} double\n")
     out.write(_format(grid.nodes, (" ", " 0\n")))
     out.write(f"CELLS {n} {int(nverts.sum()) + n}\n")
-    out.write(cell_lines(grid))
+    out.writelines(cell_lines(grid))
     out.write(f"CELL_TYPES {n}\n")
     out.write(_CELL_TYPES[nverts - 3].tobytes().decode("ascii"))
 

@@ -284,7 +284,7 @@ def test_unused_node_leaves_analyze_row(tmp_path, capsys, x):
         path.write_text(
             f"{len(nodes)} {grid.n_cells}\n"
             + "".join(f"{a!r} {b!r}\n" for a, b in nodes.tolist())
-            + cell_lines(grid), encoding="utf-8")
+            + "".join(cell_lines(grid)), encoding="utf-8")
         rows.append(run(capsys, "analyze", str(path), "--stencil", "vertex",
                         "--p", "0"))
     assert rows[0][0] == 0

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridgauge import (
     replace_nodes,
     write_vtk,
 )
+from gridgauge.lsq import lsq_table
 from gridgauge.oracle import build_stencil, build_system, f_measure, g_measure
 from tests.helpers import make_stencil
 
@@ -310,3 +312,23 @@ def test_threads_env_non_integer_ignored(monkeypatch):
     unset = analyze(grid).csv_row()
     monkeypatch.setenv("GRIDGAUGE_THREADS", "many")
     assert analyze(grid).csv_row() == unset
+
+
+def test_analyze_memory():
+    # The measures table keeps no gradient coefficients, which analyze never
+    # reads, so analyze peaks within twice the coefficient-only table the
+    # solver builds. It peaked at 2.33 times that table here while the
+    # measures table kept them.
+    grid = generate(GenSpec(kind="tri_irregular", nx=65, ny=65, perturb=0.3,
+                            seed=42))
+    table = lsq_table(grid, 0, "vertex", measures=False)
+    budget = 2 * sum(a.nbytes for a in (table.degenerate, table.indptr,
+                                        table.indices, table.cx, table.cy))
+    analyze(grid, 0, "vertex")
+    tracemalloc.start()
+    try:
+        analyze(grid, 0, "vertex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget

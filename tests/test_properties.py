@@ -81,7 +81,7 @@ def test_write_read_write_fixpoint(spec):
 @given(all_kinds)
 def test_bulk_parse_equals_line_parse(spec):
     text = grid_to_text(generate(spec))
-    bulk = _parse_bulk(text, "")
+    bulk = _parse_bulk(text.encode("ascii"), "")
     lines = _parse_lines(text, "")
     assert bulk is not None
     name, nodes, cell_nodes = bulk
@@ -131,17 +131,22 @@ def test_lsq_table_equals_scalar_oracle(spec):
             bad, f, g, ops = scalar_table(grid, p, mode)
             # Blocks of 16 stencil entries, so that most grids span several,
             # and of one cell, so that all do.
+            # F and G come from the measures table, the coefficients from
+            # the solver's coefficient-only table.
             for entries in (16, 1):
                 with mock.patch.object(lsq, "ENTRIES", entries):
                     table = lsq.lsq_table(grid, p, mode)
-                assert np.array_equal(table.degenerate, bad)
+                    solver_table = lsq.lsq_table(grid, p, mode,
+                                                 measures=False)
+                assert np.array_equal(solver_table.degenerate, bad)
                 assert np.array_equal(table.f, f, equal_nan=True)
                 assert np.array_equal(table.g, g, equal_nan=True)
-                for coefficients, op in zip((table.cx, table.cy), ops):
+                for coefficients, op in zip((solver_table.cx,
+                                             solver_table.cy), ops):
                     want = op.toarray()
                     np.fill_diagonal(want, 0.0)
-                    got = sp.csr_matrix((coefficients, table.indices,
-                                         table.indptr),
+                    got = sp.csr_matrix((coefficients, solver_table.indices,
+                                         solver_table.indptr),
                                         shape=op.shape).toarray()
                     assert np.array_equal(got, want)
 
@@ -155,9 +160,14 @@ def test_coefficient_table_equals_full_table(spec):
             with mock.patch.object(lsq, "ENTRIES", entries):
                 full = lsq.lsq_table(grid, p, mode)
                 table = lsq.lsq_table(grid, p, mode, measures=False)
+            # The measures table keeps no coefficients; they are compared
+            # with a coefficient-only table in blocks of the default size.
+            whole = lsq.lsq_table(grid, p, mode, measures=False)
             assert table.f is None and table.g is None
+            assert full.cx is None and full.cy is None
             for key in ("degenerate", "indptr", "indices", "cx", "cy"):
-                got, want = getattr(table, key), getattr(full, key)
+                other = whole if key in ("cx", "cy") else full
+                got, want = getattr(table, key), getattr(other, key)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
@@ -177,6 +187,7 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
     # >= s / |M|_F = F.
     grid = generate(GenSpec(kind=kind, **spec))
     table = lsq.lsq_table(grid, p, mode)
+    solver_table = lsq.lsq_table(grid, p, mode, measures=False)
     row = np.repeat(np.arange(grid.n_cells), np.diff(table.indptr))
     dx, dy = (grid.centroids[table.indices] - grid.centroids[row]).T
     d = np.hypot(dx, dy)
@@ -188,7 +199,7 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
     m11, m12, m22 = rowsum(w2 * dx * dx), rowsum(w2 * dx * dy), rowsum(
         w2 * dy * dy)
     lam_max = (m11 + m22) / 2.0 + np.hypot((m11 - m22) / 2.0, m12)
-    total = rowsum(np.hypot(table.cx, table.cy))
+    total = rowsum(np.hypot(solver_table.cx, solver_table.cy))
     ok = ~table.degenerate
     assert ok.any()
     floor = 1.0 - 1e-12

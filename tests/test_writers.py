@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+import gridgauge.grid
 from gridgauge import GenSpec, Grid, generate, grid_to_text, write_vtk
 from gridgauge.grid import cell_lines
 from gridgauge.lsq import lsq_table
@@ -92,9 +93,21 @@ def test_grid_text_golden_digest(kind):
     assert sha256(grid_to_text(make_grid(kind))) == TEXT_GOLDEN[kind]
 
 
+@pytest.mark.parametrize("lines", [1, 2, 7])
+def test_writers_golden_in_small_blocks(lines, monkeypatch):
+    # The writers build node and cell lines in blocks of _LINES lines; here
+    # every file spans several blocks, most of which end mid-file.
+    monkeypatch.setattr(gridgauge.grid, "_LINES", lines)
+    assert sha256(grid_to_text(mixed_grid())) == TEXT_GOLDEN["mixed"]
+    for kind, mode, p in (("mixed", "vertex", 0),
+                          ("tri_irregular", "face", 1)):
+        assert sha256(vtk_text(make_grid(kind), p, mode)) == \
+            VTK_GOLDEN[kind, mode, p]
+
+
 def test_mixed_grid_sections():
     grid = mixed_grid()
-    assert cell_lines(grid) == "4 0 1 4 3\n3 1 2 5\n3 1 5 4\n"
+    assert "".join(cell_lines(grid)) == "4 0 1 4 3\n3 1 2 5\n3 1 5 4\n"
     lines = vtk_text(grid, 0, "vertex").splitlines()
     start = lines.index("CELL_TYPES 3")
     assert lines[start + 1:start + 4] == ["9", "5", "5"]
