@@ -119,17 +119,22 @@ def _hypot(x, y):
     and the smaller magnitude, 0 where m is 0, inf where x or y is inf. Each
     step is one correctly rounded IEEE operation, so the result is the same
     on every IEEE-754 machine and within 2 ulp of the exact length."""
-    x, y = (np.abs(np.asarray(v, dtype=float)) for v in (x, y))
-    m = np.maximum(x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # In place, so that at most three arrays of the result's size exist.
+    s = np.abs(x, out=np.empty_like(x))
+    m = np.maximum(s, np.abs(y), out=np.empty_like(s))
+    np.minimum(s, np.abs(y), out=s)
     # Overflow gives inf; NaN lanes (0/0, inf/inf, NaN) are settled below.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.minimum(x, y) / m
-        out = m * np.sqrt(1.0 + r * r)
-    nan = np.isnan(out)
+        np.divide(s, m, out=s)
+        np.multiply(s, s, out=s)
+        np.add(1.0, s, out=s)
+        np.multiply(m, np.sqrt(s, out=s), out=s)
+    nan = np.isnan(s)
     if nan.any():
-        out = np.select([np.isinf(x) | np.isinf(y), m == 0.0, nan],
-                        [np.inf, 0.0, np.nan], out)
-    return out
+        s = np.select([np.isinf(x) | np.isinf(y), m == 0.0, nan],
+                      [np.inf, 0.0, np.nan], s)
+    return s
 
 
 def _comment_name(line, name):

@@ -8,23 +8,20 @@ w_k = 1/d_k^p, the gradient of a field u solves the 2x2 normal system
 
 with du_k = u_k - u_j. The system is solved once per cell for unit-impulse
 data, giving per-neighbor coefficients (cx_k, cy_k) so that the gradient is
-the dot product sum_k (cx_k, cy_k) du_k. :func:`lsq_table` builds them for
-all cells at once, shared by the quality measures and the flow solver;
-:mod:`gridgauge.oracle` holds the per-cell reference it is tested against.
-Each caller's table keeps only what it reads: the solver's holds the
-coefficients and the degenerate flags, and its F and G fields are None;
-the measures' table holds F, G and the degenerate flags, and its
-coefficient fields are None, as the coefficients are used up in the block
-that computes them.
+the dot product sum_k (cx_k, cy_k) du_k. :func:`_systems` builds the systems
+of all cells block by block for two consumers: :func:`lsq_table` reduces
+each block to the quality measures F and G, and the flow solver writes each
+block's coefficients into its gradient operators. :mod:`gridgauge.oracle`
+holds the per-cell reference both are tested against.
 
 Every per-cell sum over a stencil is a ``np.bincount`` over the cells' rows
 of neighbors, which adds a row's values in neighbor order from +0.0, as the
-scalar loops do and as the CSR matvecs of the solver's gradient operators
-do; lengths follow the distance rule :func:`gridgauge.grid._hypot` and G's
-bump the exp rule :func:`_exp`, whose scalar twins the reference calls. So
-the table and those operators are bit-equal to the per-stencil reference,
-on every IEEE-754 machine: no step calls the C library's exp or hypot. The
-module uses NumPy alone.
+scalar loops do; so are the solver's row sums of the coefficients. Lengths
+follow the distance rule :func:`gridgauge.grid._hypot` and G's bump the exp
+rule :func:`_exp`, whose scalar twins the reference calls. So the table and
+the solver's operators are bit-equal to the per-stencil reference, on every
+IEEE-754 machine: no step calls the C library's exp or hypot. The module
+uses NumPy alone.
 """
 
 import math
@@ -43,7 +40,7 @@ DEGENERACY_RTOL = 1e-13
 SINGULARITY_EPS = 1e-12
 # Stencil entries per block, which bound the temporary arrays of both
 # blocked loops and so the peak memory of analyze on large grids: the
-# neighbors of lsq_table's cells, cut at whole cells, and the padded rows of
+# neighbors of _systems' cells, cut at whole cells, and the padded rows of
 # the vertex stencil build. A row wider than this gets a block of its own.
 ENTRIES = 2**14
 # G's bump by the package's one exp rule (see _exp): ln 2 rounded; fdlibm's
@@ -58,13 +55,10 @@ EXP_TAYLOR = tuple(1.0 / math.factorial(i) for i in range(12, -1, -1))
 
 @dataclass
 class LsqTable:
-    """Stencils, gradient coefficients and F/G measures of all cells.
+    """Stencils, degenerate flags and F/G measures of all cells.
 
-    Row j of the CSR (indptr, indices, cx, cy) lists cell j's neighbors in
-    ascending order with their coefficients, zero where ``degenerate``.
-    f and g are NaN where degenerate. The measures table
-    (``lsq_table(...)``) has cx and cy None, and the coefficient-only table
-    the solver builds (``lsq_table(..., measures=False)``) has f and g None.
+    Row j of the CSR (indptr, indices) lists cell j's neighbors in
+    ascending order; f and g are NaN where ``degenerate``.
     """
 
     degenerate: np.ndarray
@@ -72,8 +66,6 @@ class LsqTable:
     g: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
 
 
 def _exp(q):
@@ -176,35 +168,26 @@ def _vertex_rows(grid, index_type):
     return indptr, np.concatenate(indices)
 
 
-def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
-    """Build the :class:`LsqTable` of a grid.
-
-    A cell is degenerate where :func:`gridgauge.oracle.build_stencil` or
-    :func:`gridgauge.oracle.build_system` would raise. Cells are taken in
-    blocks of about ENTRIES neighbors, and all arithmetic follows those
-    scalar functions operation for operation, so the table equals their
-    results bit for bit. The table keeps F, G and the stencils, and its
-    ``cx`` and ``cy`` are None: each block's coefficients are dropped once
-    its F and G are taken. With ``measures=False`` it keeps the
-    coefficients and the degenerate flags instead, which is all the solver
-    uses: F and G are not computed, and ``f`` and ``g`` are None.
-    """
+def _systems(grid, p, indptr, indices):
+    """The LSQ systems of the cells with stencils (indptr, indices), in
+    blocks of whole rows within ENTRIES neighbors, or one row wider than
+    that: (rows, row, dx, dy, d, w2, fro2, bad, cx, cy), the block's cells,
+    each entry's row in the block, offset, distance and squared weight,
+    each cell's squared norm of the normal matrix and degenerate flag, and
+    the coefficients, zero where degenerate. All follow the scalar
+    :func:`gridgauge.oracle.build_system` operation for operation, and a
+    cell is degenerate where it or ``build_stencil`` would raise. A block
+    is dropped here once yielded, so a consumer that drops it too holds one
+    block at a time."""
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
-    indptr, indices = _adjacency(grid, stencil_mode)
-    n, nnz = grid.n_cells, len(indices)
     xc, yc = grid.centroids.T
     tol = DEGENERACY_RTOL * grid.bbox_diagonal
-    fg = (np.empty(n), np.empty(n)) if measures else (None, None)
-    coefficients = (None, None) if measures else (np.empty(nnz), np.empty(nnz))
-    table = LsqTable(np.empty(n, dtype=bool), *fg, indptr, indices,
-                     *coefficients)
     lo = 0
-    while lo < n:
+    while lo < grid.n_cells:
         # Whole rows within ENTRIES neighbors, or one row wider than that.
         end = np.searchsorted(indptr, indptr[lo] + ENTRIES, "right") - 1
         rows = slice(lo, max(int(end), lo + 1))
-        flat = slice(indptr[rows.start], indptr[rows.stop])
         length = np.diff(indptr[rows.start:rows.stop + 1])
         row = np.repeat(np.arange(len(length)), length)
 
@@ -212,8 +195,9 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
             """Per-cell sums of per-neighbor values v, in order from +0.0."""
             return np.bincount(row, weights=v, minlength=len(length))
 
-        nb = indices[flat]
+        nb = indices[indptr[rows.start]:indptr[rows.stop]]
         dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
+        del nb
         d = _hypot(dx, dy)
         # Degenerate cells divide by zero here, and huge offsets overflow;
         # their results are masked.
@@ -231,20 +215,36 @@ def lsq_table(grid, p=0, stencil_mode="face", *, measures=True):
                           (m22[row] * bx - m12[row] * by) / det[row])
             cy = np.where(bad[row], 0.0,
                           (m11[row] * by - m12[row] * bx) / det[row])
-            if measures:
-                # G: gradient of the bump exp(-(x^2 + y^2)) in offsets
-                # scaled by the farthest neighbor distance.
-                far = np.zeros(len(length))
-                np.maximum.at(far, row, d)
-                x, y = dx / far[row], dy / far[row]
-                q = -(x * x + y * y)
-                bump = _exp(q)
-                gx, gy = (rowsum(c * (bump - 1.0)) for c in (cx, cy))
-                table.g[rows] = np.where(bad, np.nan, far * _hypot(gx, gy))
-                s = rowsum(w2 * d)
-                table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
-            else:
-                table.cx[flat], table.cy[flat] = cx, cy
-        table.degenerate[rows] = bad
+            del bx, by
+        yield rows, row, dx, dy, d, w2, fro2, bad, cx, cy
+        del row, dx, dy, d, w2, cx, cy
         lo = rows.stop
+
+
+def lsq_table(grid, p=0, stencil_mode="face"):
+    """Build the :class:`LsqTable` of a grid from the blocks of
+    :func:`_systems`, each dropped once its F and G are taken."""
+    indptr, indices = _adjacency(grid, stencil_mode)
+    n = grid.n_cells
+    table = LsqTable(np.empty(n, dtype=bool), np.empty(n), np.empty(n),
+                     indptr, indices)
+    for rows, row, dx, dy, d, w2, fro2, bad, cx, cy in _systems(
+            grid, p, indptr, indices):
+        # G: gradient of the bump exp(-(x^2 + y^2)) in offsets scaled by the
+        # farthest neighbor distance.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            far = np.zeros(len(bad))
+            np.maximum.at(far, row, d)
+            x, y = dx / far[row], dy / far[row]
+            q = -(x * x + y * y)
+            del x, y
+            bump = _exp(q)
+            gx, gy = (np.bincount(row, c * (bump - 1.0), len(bad))
+                      for c in (cx, cy))
+            table.g[rows] = np.where(bad, np.nan, far * _hypot(gx, gy))
+            s = np.bincount(row, w2 * d, len(bad))
+            table.f[rows] = np.where(bad, np.nan, s / np.sqrt(fro2))
+        table.degenerate[rows] = bad
+        # Each block is dropped before the next is built.
+        del row, dx, dy, d, w2, cx, cy, q, bump
     return table

@@ -1,10 +1,10 @@
 """Scalar per-cell reference for the stencils, the least-squares gradient
 coefficients and the F and G measures.
 
-No command runs these functions: :func:`gridgauge.lsq.lsq_table` computes
-the same quantities for all cells at once, following them operation for
-operation, and the tests and the benchmark's correctness gate hold the
-table to them bit for bit. They take one cell at a time in Python floats,
+No command runs these functions: :func:`gridgauge.lsq._systems` and
+:func:`gridgauge.lsq.lsq_table` compute the same quantities for all cells at
+once, following them operation for operation, and the tests and the
+benchmark's correctness gate hold the results to them bit for bit. They take one cell at a time in Python floats,
 so each step can be read against the paper's formulas. No other module of
 the package imports this one.
 """

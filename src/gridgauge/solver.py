@@ -36,8 +36,9 @@ of the factors.
 
 J, Kx and Ky have one CSR pattern, built once from the face adjacency, and
 each sums its terms per entry in the order of a COO-to-CSR assembly; Gx and
-Gy get their diagonals by a per-row insert. Each operator owns arrays of
-exactly its entries (see _Advection for the order of the build).
+Gy take each block of LSQ coefficients straight into their rows, beside a
+diagonal slot. Each operator owns arrays of exactly its entries (see
+_Advection for the order of the build).
 
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import _adjacency, check_stencils, lsq_table
+from .lsq import _adjacency, _systems, check_stencils
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
@@ -134,7 +135,8 @@ class _Advection:
 
     Each operator owns arrays of exactly its nnz entries. J, Kx, Ky and b
     come first and Gx, Gy last, so that the working arrays of the first
-    build are gone before the LSQ table, the largest transient, exists."""
+    build are gone before the gradient build, the largest transient,
+    starts."""
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
@@ -143,8 +145,6 @@ class _Advection:
         n = grid.n_cells
         self.jac, self.kx, self.ky, self.b = _face_operators(
             grid, theta, source, inflow)
-        # The stencils' degenerate flags, for the solve's check; not the
-        # whole table, which would stay alive through the solve.
         if first_order:
             self.degenerate = np.zeros(n, dtype=bool)
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
@@ -244,36 +244,50 @@ def _face_pattern(grid):
 
 
 def _gradient_operators(grid, p, stencil_mode):
-    """The degenerate flags of the LSQ table and its Gx and Gy: the table's
-    coefficients with their row sums subtracted on the diagonal, so that
-    rows sum to zero and grad = (Gx u, Gy u). Row sums follow the order rule
-    of the lsq module docstring. Zeros are dropped, so degenerate rows are
-    empty. Each table array is released once no operator needs it."""
+    """The degenerate flags of the LSQ stencils, and Gx and Gy: each row holds
+    the cell's coefficients and, on the diagonal, 0.0 less their sum, so
+    that grad = (Gx u, Gy u). Each block of :func:`gridgauge.lsq._systems`
+    is written into place and dropped; its row sums are ``np.bincount``
+    sums, from +0.0 in column order. Zeros are dropped, so degenerate rows
+    are empty."""
     import scipy.sparse as sp
 
-    table = lsq_table(grid, p, stencil_mode, measures=False)
     n = grid.n_cells
-    degenerate, coefficients = table.degenerate, [table.cx, table.cy]
-    indptr, indices, diag = _with_diagonal(table.indptr, table.indices)
-    del table
+    ptr, stencil = _adjacency(grid, stencil_mode)
+    degenerate = np.empty(n, dtype=bool)
+    data = [np.empty(len(stencil) + n), np.empty(len(stencil) + n)]
+    for rows, row, *_, bad, cx, cy in _systems(grid, p, ptr, stencil):
+        # Row j starts at slot ptr[j] + j, and its diagonal follows its
+        # neighbors below j.
+        cell = rows.start + row
+        above = stencil[ptr[rows.start]:ptr[rows.stop]] > cell
+        at = np.arange(ptr[rows.start], ptr[rows.stop]) + cell + above
+        diag = (ptr[rows] + np.arange(rows.start, rows.stop)
+                + np.bincount(row[~above], minlength=len(bad)))
+        for out, c in zip(data, (cx, cy)):
+            out[at] = c
+            out[diag] = 0.0 - np.bincount(row, c, minlength=len(bad))
+        degenerate[rows] = bad
+        # Each block is dropped before the next is built.
+        del row, _, cx, cy, cell, above, at
+    indptr, indices, _ = _with_diagonal(ptr, stencil)
+    del ptr, stencil, _
 
-    def gradient(c):
-        data = np.insert(c, diag - np.arange(n), 0.0)
-        del c
-        # The diagonal's +0.0 term cannot change a nonzero row sum.
-        data[diag] = 0.0 - sp.csr_matrix((data, indices, indptr),
-                                         shape=(n, n)) @ np.ones(n)
+    def gradient(data):
         keep = data != 0
         if keep.all():
             ptr, ind = indptr.copy(), indices.copy()
         else:
-            counts = np.add.reduceat(keep, indptr[:-1], dtype=np.intp)
-            ptr = np.concatenate([[0], np.cumsum(counts)])
             data, ind = data[keep], indices[keep]
+            # Row r starts earlier by the zeros of the rows before it.
+            row = np.searchsorted(indptr, np.flatnonzero(~keep), "right") - 1
+            del keep
+            ptr = indptr - np.concatenate(
+                [[0], np.cumsum(np.bincount(row, minlength=n))])
         return sp.csr_matrix((data, ind, ptr), shape=(n, n))
 
-    gx = gradient(coefficients.pop(0))
-    return degenerate, gx, gradient(coefficients.pop(0))
+    gx = gradient(data.pop(0))
+    return degenerate, gx, gradient(data.pop(0))
 
 
 def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",

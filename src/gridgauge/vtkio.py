@@ -1,7 +1,7 @@
 """Legacy (ASCII, version 2.0) VTK unstructured-grid writer with cell data.
 
 Every float is written as ``"%.17g" % x`` writes it: 17 significant
-digits, correctly rounded, trailing zeros dropped. ``_format`` produces
+digits, correctly rounded, trailing zeros dropped. ``_format`` yields
 that text for a whole array with NumPy alone, bit for bit:
 
 * Fast range, 1e-4 <= |x| < 1e16: ``%.17g`` is fixed-point notation with
@@ -101,7 +101,7 @@ def _write(out, grid, cell_data, title):
     n, nverts = grid.n_cells, grid.cell_nverts
     out.write(f"# vtk DataFile Version 2.0\n{one_line(title)}\nASCII\n"
               f"DATASET UNSTRUCTURED_GRID\nPOINTS {grid.n_nodes} double\n")
-    out.write(_format(grid.nodes, (" ", " 0\n")))
+    out.writelines(_format(grid.nodes, (" ", " 0\n")))
     out.write(f"CELLS {n} {int(nverts.sum()) + n}\n")
     out.writelines(cell_lines(grid))
     out.write(f"CELL_TYPES {n}\n")
@@ -119,13 +119,14 @@ def _write(out, grid, cell_data, title):
                     f"{n} cells"
                 )
             out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            out.write(_format(values, ("\n",)))
+            out.writelines(_format(values, ("\n",)))
 
 
 def _format(values, suffixes):
-    """The ``%.17g`` text of each value, followed by the suffixes in turn:
-    ``"".join("%.17g" % x + suffixes[i % len(suffixes)] for i, x in ...)``
-    for the values in C order, with suffixes of at most 8 ASCII bytes."""
+    """The ``%.17g`` text of each value, followed by the suffixes in turn,
+    one block of values at a time: the blocks join to ``"".join("%.17g" % x
+    + suffixes[i % len(suffixes)] for i, x in ...)`` for the values in C
+    order, with suffixes of at most 8 ASCII bytes."""
     values = np.asarray(values, dtype=np.float64).ravel()
     period = len(suffixes)
     suffix = np.zeros((period, 8), np.uint8)
@@ -138,7 +139,6 @@ def _format(values, suffixes):
     block = _BLOCK - _BLOCK % period
     which = np.arange(block) % period
     suffix_word, table = suffix.view(np.uint64)[which, 0], which * _NSTATE
-    parts = []
     for start in range(0, values.size, block):
         x = values[start:start + block]
         rows = np.empty((x.size, 6), np.uint64)
@@ -146,8 +146,7 @@ def _format(values, suffixes):
         state = _digits(x, rows)
         state += table[:x.size]
         rows &= masks[state]
-        parts.append(rows.tobytes().translate(None, b"\0"))
-    return b"".join(parts).decode("ascii")
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _digits(x, rows):
@@ -167,6 +166,7 @@ def _digits(x, rows):
         k[fix] += step[fix]
         p[fix], e[fix] = _two_product(a[fix], k[fix])
     num = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del a, p, e, low, high, step, fix
     top = num // 10 ** 8
     low8 = num - top * 10 ** 8
     d0 = top // 10 ** 8
@@ -174,6 +174,7 @@ def _digits(x, rows):
     g1 = top // 10 ** 4
     g3 = low8 // 10 ** 4
     groups = (g1, top - g1 * 10 ** 4, g3, low8 - g3 * 10 ** 4)
+    del num, top, low8, g1, g3
     rows[:, 0] = _HEAD[d0]
     for j, g in enumerate(groups):
         rows[:, 1 + j] = _GROUP[g]

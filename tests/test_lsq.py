@@ -26,7 +26,7 @@ from gridgauge.oracle import (
     g_measure,
 )
 from gridgauge import lsq
-from gridgauge.solver import _Advection
+from gridgauge.solver import _Advection, _gradient_operators
 from tests.helpers import make_stencil, notch_grid
 
 
@@ -97,6 +97,8 @@ def test_bad_weight_exponent():
     grid = generate(GenSpec(kind="quad", nx=4, ny=4))
     with pytest.raises(ValueError, match="weight exponent p must be 0 or 1"):
         lsq.lsq_table(grid, 2)
+    with pytest.raises(ValueError, match="weight exponent p must be 0 or 1"):
+        _gradient_operators(grid, 2, "face")
 
 
 @pytest.mark.parametrize("run", [
@@ -373,21 +375,22 @@ def test_vertex_stencil_memory_on_a_fan():
 
 
 def test_lsq_table_memory_on_a_fan():
-    # Blocks bounded by stencil entries keep the table's temporaries small
-    # beside its output even where every row is 599 entries wide: both
-    # tables peak within twice the coefficient-only table, whose cx and cy
-    # the measures table does not keep. Blocks of 1,024 cells peaked at 8.2
-    # times the output here, 5.1 times without measures.
+    # Blocks bounded by stencil entries keep the temporaries small beside
+    # the output even where every row is 599 entries wide: the measures
+    # table and the solver's gradient build each peak within twice the
+    # stencils, the flags and two float64 coefficient columns, a table the
+    # measures table does not keep. Blocks of 1,024 cells peaked at 8.2
+    # times that table here, and a table of only those columns at 5.1 times.
     grid = fan_grid(600)
-    solver_table = lsq.lsq_table(grid, 0, "vertex", measures=False)
-    fields = (solver_table.degenerate, solver_table.indptr,
-              solver_table.indices, solver_table.cx, solver_table.cy)
-    budget = 2 * sum(a.nbytes for a in fields)
-    for measures in (True, False):
-        lsq.lsq_table(grid, 0, "vertex", measures=measures)
+    table = lsq.lsq_table(grid, 0, "vertex")
+    budget = 2 * (sum(a.nbytes for a in (table.degenerate, table.indptr,
+                                         table.indices))
+                  + 2 * 8 * len(table.indices))
+    for build in (lsq.lsq_table, _gradient_operators):
+        build(grid, 0, "vertex")
         tracemalloc.start()
         try:
-            lsq.lsq_table(grid, 0, "vertex", measures=measures)
+            build(grid, 0, "vertex")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -316,14 +316,15 @@ def test_threads_env_non_integer_ignored(monkeypatch):
 
 def test_analyze_memory():
     # The measures table keeps no gradient coefficients, which analyze never
-    # reads, so analyze peaks within twice the coefficient-only table the
-    # solver builds. It peaked at 2.33 times that table here while the
-    # measures table kept them.
+    # reads, so analyze peaks within twice its stencils and flags plus two
+    # float64 coefficient columns. It peaked at 2.33 times that here while
+    # the measures table kept them.
     grid = generate(GenSpec(kind="tri_irregular", nx=65, ny=65, perturb=0.3,
                             seed=42))
-    table = lsq_table(grid, 0, "vertex", measures=False)
-    budget = 2 * sum(a.nbytes for a in (table.degenerate, table.indptr,
-                                        table.indices, table.cx, table.cy))
+    table = lsq_table(grid, 0, "vertex")
+    budget = 2 * (sum(a.nbytes for a in (table.degenerate, table.indptr,
+                                         table.indices))
+                  + 2 * 8 * len(table.indices))
     analyze(grid, 0, "vertex")
     tracemalloc.start()
     try:

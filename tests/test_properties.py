@@ -22,7 +22,7 @@ from gridgauge import (
     grid_to_text,
     parse_grid,
 )
-from gridgauge import lsq
+from gridgauge import lsq, solver
 from gridgauge.grid import _cell_nverts, _parse_bulk, _parse_lines
 from gridgauge.oracle import _face_adjacency, _vertex_adjacency
 from tests.test_lsq import scalar_table
@@ -130,25 +130,18 @@ def test_lsq_table_equals_scalar_oracle(spec):
         for p in (0, 1):
             bad, f, g, ops = scalar_table(grid, p, mode)
             # Blocks of 16 stencil entries, so that most grids span several,
-            # and of one cell, so that all do.
-            # F and G come from the measures table, the coefficients from
-            # the solver's coefficient-only table.
+            # and of one cell, so that all do. F and G come from the
+            # measures table, the coefficients from the solver's Gx and Gy.
             for entries in (16, 1):
                 with mock.patch.object(lsq, "ENTRIES", entries):
                     table = lsq.lsq_table(grid, p, mode)
-                    solver_table = lsq.lsq_table(grid, p, mode,
-                                                 measures=False)
-                assert np.array_equal(solver_table.degenerate, bad)
+                    degenerate, *got = solver._gradient_operators(grid, p,
+                                                                  mode)
+                assert np.array_equal(degenerate, bad)
                 assert np.array_equal(table.f, f, equal_nan=True)
                 assert np.array_equal(table.g, g, equal_nan=True)
-                for coefficients, op in zip((solver_table.cx,
-                                             solver_table.cy), ops):
-                    want = op.toarray()
-                    np.fill_diagonal(want, 0.0)
-                    got = sp.csr_matrix((coefficients, solver_table.indices,
-                                         solver_table.indptr),
-                                        shape=op.shape).toarray()
-                    assert np.array_equal(got, want)
+                for op, want in zip(got, ops):
+                    assert np.array_equal(op.toarray(), want.toarray())
 
 
 @SETTINGS
@@ -158,18 +151,18 @@ def test_coefficient_table_equals_full_table(spec):
     for mode in ("face", "vertex"):
         for p, entries in itertools.product((0, 1), (16, 1)):
             with mock.patch.object(lsq, "ENTRIES", entries):
-                full = lsq.lsq_table(grid, p, mode)
-                table = lsq.lsq_table(grid, p, mode, measures=False)
-            # The measures table keeps no coefficients; they are compared
-            # with a coefficient-only table in blocks of the default size.
-            whole = lsq.lsq_table(grid, p, mode, measures=False)
-            assert table.f is None and table.g is None
-            assert full.cx is None and full.cy is None
-            for key in ("degenerate", "indptr", "indices", "cx", "cy"):
-                other = whole if key in ("cx", "cy") else full
-                got, want = getattr(table, key), getattr(other, key)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+                table = lsq.lsq_table(grid, p, mode)
+                degenerate, *ops = solver._gradient_operators(grid, p, mode)
+            # The blocks' sizes move no byte of the flags, Gx or Gy: they are
+            # compared with a build in blocks of the default size.
+            whole, *whole_ops = solver._gradient_operators(grid, p, mode)
+            assert degenerate.tobytes() == table.degenerate.tobytes()
+            assert degenerate.tobytes() == whole.tobytes()
+            for op, other in zip(ops, whole_ops):
+                for key in ("indptr", "indices", "data"):
+                    got, want = getattr(op, key), getattr(other, key)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -187,7 +180,7 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
     # >= s / |M|_F = F.
     grid = generate(GenSpec(kind=kind, **spec))
     table = lsq.lsq_table(grid, p, mode)
-    solver_table = lsq.lsq_table(grid, p, mode, measures=False)
+    _, gx, gy = solver._gradient_operators(grid, p, mode)
     row = np.repeat(np.arange(grid.n_cells), np.diff(table.indptr))
     dx, dy = (grid.centroids[table.indices] - grid.centroids[row]).T
     d = np.hypot(dx, dy)
@@ -199,7 +192,12 @@ def test_f_is_a_lower_bound_of_the_gradient(kind, mode, p, **spec):
     m11, m12, m22 = rowsum(w2 * dx * dx), rowsum(w2 * dx * dy), rowsum(
         w2 * dy * dy)
     lam_max = (m11 + m22) / 2.0 + np.hypot((m11 - m22) / 2.0, m12)
-    total = rowsum(np.hypot(solver_table.cx, solver_table.cy))
+    # Sum_k |c_k| over the off-diagonal entries of Gx and Gy; the zeros they
+    # drop add nothing to it.
+    cx, cy = gx.toarray(), gy.toarray()
+    np.fill_diagonal(cx, 0.0)
+    np.fill_diagonal(cy, 0.0)
+    total = np.hypot(cx, cy).sum(axis=1)
     ok = ~table.degenerate
     assert ok.any()
     floor = 1.0 - 1e-12

@@ -436,7 +436,9 @@ def test_triangle_factor_ignores_panel_size(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, mode", [("tri_regular", "face"),
-                                        ("tri_irregular", "vertex")])
+                                        ("tri_irregular", "vertex"),
+                                        ("quad", "face"),
+                                        ("tri_irregular", "face")])
 def test_operator_build_memory(kind, mode):
     # Each operator owns arrays of exactly its nnz entries, and the build's
     # peak stays within 1.75 times what it keeps. The COO builds it replaced
