@@ -406,22 +406,26 @@ def cell_lines(grid):
     list them, yielded in cell order as strings of at most _LINES lines.
 
     Each node index from the least to the greatest the cells use is
-    formatted once, as a word of " <index>" padded with NUL bytes to a
-    multiple of 8 bytes. A row of the count word, the cell's four node
-    words (the padding -1 picks a word of NULs) and a LF word is then the
-    cell's line once the NULs are deleted."""
+    formatted once, _LINES indices at a time, as a word of " <index>"
+    padded with NUL bytes to a multiple of 8 bytes. A row of the count
+    word, the cell's four node words (the padding -1 picks a word of NULs)
+    and a LF word is then the cell's line once the NULs are deleted."""
     cells = grid.cell_nodes
     if not len(cells):
         return
     # Viewed unsigned, the padding -1 is the greatest entry.
     lo, top = int(cells.view(np.uintp).min()), int(cells.max()) + 1
     width = -(-(len(str(top - 1)) + 1) // 8) * 8
-    # "\x01" stands for the leading space until the padding spaces are NULs.
-    text = f"\x01%-{width - 1}d" * (top - lo) % tuple(range(lo, top))
     # Row 0 is the word of NULs; index i is row i - lo + 1.
     words = np.zeros((top - lo + 1, width // 8), np.uint64)
-    words[1:] = np.frombuffer(text.encode("ascii").translate(_NODE_WORD),
-                              np.uint64).reshape(top - lo, -1)
+    # "\x01" stands for the leading space until the padding spaces are NULs.
+    word = f"\x01%-{width - 1}d"
+    for first in range(lo, top, _LINES):
+        index = range(first, min(first + _LINES, top))
+        text = word * len(index) % tuple(index)
+        words[first - lo + 1:index.stop - lo + 1] = np.frombuffer(
+            text.encode("ascii").translate(_NODE_WORD), np.uint64
+        ).reshape(len(index), -1)
     for start in range(0, len(cells), _LINES):
         block = cells[start:start + _LINES]
         rows = np.empty((len(block), 4 * width // 8 + 2), np.uint64)
@@ -524,18 +528,28 @@ def derive_geometry(grid):
     if len(bad):
         raise _CellFault("has a centroid that underflows", int(bad[0]))
 
-    cell = np.repeat(np.arange(len(nverts)), nverts)
-    owner = cell[first]
+    # Edge e is cell j's where j's edges end past e.
+    ends = np.cumsum(nverts)
+    owner = np.searchsorted(ends, first, "right")
     neighbor = np.full(len(first), -1, dtype=np.intp)
-    neighbor[face] = cell[second]
-    del cell, first, second, face
+    neighbor[face] = np.searchsorted(ends, second, "right")
+    del ends, first, second, third, face, twice
+    # The (m, 2) columns are written in place, with the operations of
+    # (dy / length, -dx / length) and ((xa + xb) / 2, (ya + yb) / 2).
+    normal = np.empty((len(na), 2))
+    np.divide(dy, length, out=normal[:, 0])
+    del dy
+    np.divide(np.negative(dx, out=dx), length, out=normal[:, 1])
+    del dx
+    midpoint = np.empty((len(na), 2))
+    for axis, coord in enumerate((x, y)):
+        np.add(coord[na], coord[nb], out=midpoint[:, axis])
+        midpoint[:, axis] /= 2.0
     grid.centroids = centroids
     grid.areas = area
     grid.face_arrays = FaceArrays(
         node_a=na, node_b=nb, owner=owner, neighbor=neighbor,
-        normal=np.column_stack([dy / length, -dx / length]), length=length,
-        midpoint=np.column_stack([(x[na] + x[nb]) / 2.0,
-                                  (y[na] + y[nb]) / 2.0]),
+        normal=normal, length=length, midpoint=midpoint,
     )
     x0, y0, x1, y1 = grid.bbox if len(na) else (0.0,) * 4
     grid.bbox_diagonal = float(_hypot(x1 - x0, y1 - y0))

@@ -19,12 +19,21 @@ propagates the error by -J^-1 (Kx Gx + Ky Gy). The linear systems are
 relaxed with symmetric point-implicit (forward/backward) sweeps until the
 inner residual drops tenfold or the sweep cap is hit.
 
-Each sweep solves one triangle of J exactly. J's off-diagonal nonzeros are
-the upwind neighbors, so a triangle's strict part is often only a few levels
-deep (level scheduling, Anderson & Saad, Int. J. High Speed Computing 1(1),
-1989): at theta = 30 the upper triangle is diagonal on quad grids and 1 or 3
-levels deep on triangle grids. A triangle at most MAX_LEVELS deep is solved
-level by level in NumPy, x = r / D and then, level after level,
+The sweeps run in downwind order (Bey & Wittum, Appl. Numer. Math. 23,
+1997). J's off-diagonal nonzeros are the upwind neighbors; one
+strong-components pass over that graph orders its components so that each
+is downwind of those before it, and the sweeps solve the triangles of
+P J P^T, x = P^T solve(P r), while the operators, the residual and the
+history stay in file order. Where the graph is acyclic, as on every
+generated grid, P J P^T has no nonzero above its diagonal, so one forward
+sweep solves J exactly and the counts do not depend on the cell numbering;
+only a cycle's entries lie above it. So the upper triangle is the diagonal
+outside the cycles, and the lower one holds the upwind neighbors and is
+deep: hundreds of levels at theta = 30 on 129^2 triangle grids.
+
+A triangle at most MAX_LEVELS deep is solved level by level in NumPy
+(level scheduling, Anderson & Saad, Int. J. High Speed Computing 1(1),
+1989), x = r / D and then, level after level,
 x[rows] = (r[rows] - S[rows] @ x) / D[rows], with D the diagonal and S the
 zero-free strict part; each row is summed from +0.0 in ascending column
 order, which rests on IEEE arithmetic alone. A deeper triangle goes to
@@ -58,7 +67,10 @@ from .lsq import _adjacency, _systems, check_stencils
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
 # The deepest sweep triangle solved level by level; a deeper one goes to
-# SuperLU. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
+# SuperLU. In downwind order the upper triangle is the diagonal, or a few
+# levels inside cycles, and the lower one is far deeper than this. The cap
+# was set when the sweeps ran in file order, with both triangles shallow or
+# deep. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
 # SuperLU -> levels: 129^2 nodes depth 3 479 -> 87 us, depth 14 776 -> 359;
 # 65^2 depth 12 119 -> 96; 33^2 depth 3 45 -> 18, depth 12 29 -> 66; 17^2
 # depth 2 9 -> 10, depth 9 9 -> 42. A level costs about 5 us up to 33^2 and
@@ -353,9 +365,10 @@ def _levels(strict):
 
 
 def _triangle_solver(tri):
-    """A solver of one sweep triangle of J, given in CSC with J's stored
-    zeros: a _LevelSolve when its strict part is at most MAX_LEVELS levels
-    deep, else SuperLU's factor of ``tri`` as given. Both have solve(r)."""
+    """A solver of one sweep triangle of P J P^T, given in CSC with J's
+    stored zeros: a _LevelSolve when its strict part is at most MAX_LEVELS
+    levels deep, else SuperLU's factor of ``tri`` as given. Both have
+    solve(r)."""
     import scipy.sparse.linalg as spla
 
     strict = tri.tocsr()
@@ -364,23 +377,56 @@ def _triangle_solver(tri):
     strict.sort_indices()
     level = _levels(strict)
     if level is None:
+        del strict  # before SuperLU allocates its factors
         return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                          panel_size=1)
     return _LevelSolve(tri.diagonal(), strict, level)
+
+
+def _downwind_order(jac):
+    """The cells in downwind order, perm (cell perm[k] comes k-th), and its
+    inverse inv (cell i comes inv[i]-th): the strongly connected components
+    of J's upwind graph, each upwind of the ones after it, with a
+    component's cells in ascending index order. SciPy labels the components
+    in the order its depth-first search completes them (Pearce, 2005), so a
+    cell's upwind neighbors outside its component carry smaller labels; the
+    tests pin that. The graph is J's zero-free pattern: SciPy would take J's
+    stored zeros, the downwind side of each face, for edges."""
+    from scipy.sparse.csgraph import connected_components
+
+    graph = jac.copy()  # eliminate_zeros works in place
+    graph.eliminate_zeros()
+    labels = connected_components(graph, directed=True,
+                                  connection="strong")[1]
+    perm = np.argsort(labels, kind="stable")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return perm, inv
+
+
+def _sweep_triangles(jac, inv):
+    """The lower and upper triangles of P J P^T (CSC, with J's stored
+    zeros), where P moves cell i to position inv[i]."""
+    import scipy.sparse as sp
+
+    n = jac.shape[0]
+    inv = inv.astype(jac.indices.dtype)
+    row = np.repeat(inv, np.diff(jac.indptr))
+    col = inv[jac.indices]
+    return [sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
+            for k in (col <= row, col >= row)]
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     """Drive the second-order residual to spec.tolerance (relative L1).
 
     Outer loop: evaluate R(u); stop on convergence; otherwise relax
-    J du = -R with symmetric sweeps and update u. The report carries the
-    stop reason, the normalized residual history (entry 0 is 1, or 0 when
-    the initial residual is zero) and the cumulative work units per entry.
-    A residual norm above DIVERGENCE_FACTOR times the initial one, or a
-    non-finite one, stops the solve as diverged.
+    J du = -R with symmetric sweeps in downwind order and update u. The
+    report carries the stop reason, the normalized residual history (entry
+    0 is 1, or 0 when the initial residual is zero) and the cumulative work
+    units per entry. A residual norm above DIVERGENCE_FACTOR times the
+    initial one, or a non-finite one, stops the solve as diverged.
     """
-    import scipy.sparse as sp
-
     spec.validate()
 
     op = _Advection(grid, spec.theta, p, stencil_mode,
@@ -401,8 +447,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         return SolveReport("diverged", history, work_history, u)
 
     jac = op.jac
-    lower = _triangle_solver(sp.tril(jac, format="csc"))
-    upper = _triangle_solver(sp.triu(jac, format="csc"))
+    perm, inv = _downwind_order(jac)
+    lower, upper = map(_triangle_solver, _sweep_triangles(jac, inv))
     # SuperLU's bits depend on J's stored zeros, so the solvers come first.
     # A CSR matvec adds each row from +0.0, so its sums never turn -0.0, and
     # on finite vectors the zero products it drops add nothing.
@@ -417,9 +463,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         delta = np.zeros(n)
         r[:] = b
         for _ in range(spec.max_sweeps):
-            delta += lower.solve(r)
+            delta += lower.solve(r[perm])[inv]
             np.subtract(b, jac @ delta, out=r)
-            delta += upper.solve(r)
+            delta += upper.solve(r[perm])[inv]
             np.subtract(b, jac @ delta, out=r)
             work += 0.5
             if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:

@@ -17,6 +17,7 @@ from gridgauge import (
     exact_solution,
     generate,
     jacobian_low_order,
+    replace_nodes,
     residual_second_order,
     save_grid,
     source_term,
@@ -219,12 +220,11 @@ def test_jacobian_golden_digest(kind, theta):
 
 # (exit code, sha256 of solve's history CSV followed by its summary line) on
 # 17x17 grids (tri_irregular: perturb 0.3, seed 42) at theta 30 and the
-# default tolerance; tri_irregular with face stencils diverges. Where a sweep
-# triangle is solved level by level the history's last digits are not
-# SuperLU's, so tri_irregular vertex p0 and tri_regular face p0 and vertex
-# p0 were re-taken when the level solve came in, and tri_irregular, tri_regular
-# face p1 and vertex p1 when the distance rule replaced math.hypot;
-# SOLVE_COUNTS pins their counts apart from the bytes.
+# default tolerance; tri_irregular with face stencils diverges. The triangle
+# grids were re-taken when the sweeps moved to downwind order, which changes
+# their inner solves; at theta 30 the quad grids' cells are already numbered
+# downwind, so their bytes are older. SOLVE_COUNTS pins the counts apart from
+# the bytes.
 SOLVE_GOLDEN = {
     ("quad", "face", 0): (0, "030ed878da39cf2a28a3d9cc022dc5b2"
                              "22fe98875506894b92b37c52fa12e4f4"),
@@ -234,22 +234,22 @@ SOLVE_GOLDEN = {
                                "5250cab0d482e1765e0a781e7d080152"),
     ("quad", "vertex", 1): (0, "df706e8ad28fbcd2ece9cddca250c2d6"
                                "85949f9f0f7d0de4167ed5985c23109a"),
-    ("tri_irregular", "face", 0): (4, "14ff2a09b39641feff971834a548a5a8"
-                                      "8eff11caa84b12c0e0c4d6e351dff2b9"),
-    ("tri_irregular", "face", 1): (4, "e98499734de57b44c11466388f0c4da4"
-                                      "a2bb587b2ffe75fc1316093943e65b5e"),
-    ("tri_irregular", "vertex", 0): (0, "c8be25e59755d6a247edfeb8bad3dcb6"
-                                        "73d2b51e9d2fde0bcfbcefa6f306c735"),
-    ("tri_irregular", "vertex", 1): (0, "ce433d43c98583ed74f5186a147de037"
-                                        "fc835c7f192f540256992ce191945957"),
-    ("tri_regular", "face", 0): (0, "362261f9c135017e0d62dd884ce4437c"
-                                    "be7a409c006485112ffa0d6c07d6d633"),
-    ("tri_regular", "face", 1): (0, "5953d7f43f64c89c9c133236cc003cd6"
-                                    "14afc43fece606bbe03a247315425069"),
-    ("tri_regular", "vertex", 0): (0, "a3f922faffc3762e218ecdcb1f78c699"
-                                      "5cf41e2dfb5094936b213aa51225ddd0"),
-    ("tri_regular", "vertex", 1): (0, "aa9c3d10b7e22992ea4c3f38ac046ea8"
-                                      "75ebafef112ba9634ed16734b707d39f"),
+    ("tri_irregular", "face", 0): (4, "9e2021e6250f4ae637d6acb329c0b304"
+                                      "0fbecd7c9734525885a13c4d12269ab9"),
+    ("tri_irregular", "face", 1): (4, "c0470c50440f6cc0d1d621c1847610ab"
+                                      "80dec75e262b54ae6788c8572bebed2e"),
+    ("tri_irregular", "vertex", 0): (0, "fd84eb940e83215e4eea93acddbaebb5"
+                                        "321f262740b258218bf7832dd592403e"),
+    ("tri_irregular", "vertex", 1): (0, "616225b3b366d1f054ea1195df6c139c"
+                                        "a2a13bd64cfe26429e11c368b8bf5ff6"),
+    ("tri_regular", "face", 0): (0, "004b8f2b0e985f4db8a3880e4ad3a98a"
+                                    "6f27fea43305d176b605602717e85e5b"),
+    ("tri_regular", "face", 1): (0, "851b2b7839be0a975eb3b13fc1ab7c4d"
+                                    "5f009c83298b45553a5fdcd2aa30e671"),
+    ("tri_regular", "vertex", 0): (0, "e3c467bcea90029f324e3a8afa909dee"
+                                      "f14c9ce51f7df8ef2582b0d3b74aad54"),
+    ("tri_regular", "vertex", 1): (0, "755f45f6164930111fc368cb82ac7808"
+                                      "be08ee6dbaf14dbaa7dde1b5faa23400"),
 }
 
 
@@ -266,44 +266,48 @@ def test_solve_golden_digest(tmp_path, capsys, kind, mode, p):
 
 
 # (exit code, status, iterations, work units) of the SOLVE_GOLDEN cases at
-# theta 30, 120 and 210, taken while every sweep triangle went to SuperLU.
+# theta 30, 120 and 210, with downwind sweeps. Every status and exit code, and
+# the quad counts at theta 30 and 210, are those of the sweeps in file order.
+# A half turn maps the tri_regular and quad grids onto themselves and theta
+# 210 onto theta 30, renumbering the cells; downwind counts do not depend on
+# the numbering, so those grids count the same at theta 30 and 210.
 SOLVE_COUNTS = {
     ("quad", "face", 0, "30"): (0, "converged", 27, 41.5),
     ("quad", "face", 1, "30"): (0, "converged", 27, 41.5),
     ("quad", "vertex", 0, "30"): (0, "converged", 24, 37.0),
     ("quad", "vertex", 1, "30"): (0, "converged", 24, 37.0),
-    ("tri_irregular", "face", 0, "30"): (4, "diverged", None, 56.0),
-    ("tri_irregular", "face", 1, "30"): (4, "diverged", None, 59.5),
-    ("tri_irregular", "vertex", 0, "30"): (0, "converged", 22, 41.0),
-    ("tri_irregular", "vertex", 1, "30"): (0, "converged", 25, 47.5),
-    ("tri_regular", "face", 0, "30"): (0, "converged", 91, 144.0),
-    ("tri_regular", "face", 1, "30"): (0, "converged", 77, 123.0),
-    ("tri_regular", "vertex", 0, "30"): (0, "converged", 19, 47.0),
-    ("tri_regular", "vertex", 1, "30"): (0, "converged", 21, 46.5),
-    ("quad", "face", 0, "120"): (0, "converged", 28, 64.5),
-    ("quad", "face", 1, "120"): (0, "converged", 28, 64.5),
-    ("quad", "vertex", 0, "120"): (0, "converged", 25, 58.0),
-    ("quad", "vertex", 1, "120"): (0, "converged", 25, 58.0),
-    ("tri_irregular", "face", 0, "120"): (4, "diverged", None, 46.5),
-    ("tri_irregular", "face", 1, "120"): (4, "diverged", None, 48.0),
-    ("tri_irregular", "vertex", 0, "120"): (0, "converged", 22, 56.0),
-    ("tri_irregular", "vertex", 1, "120"): (0, "converged", 30, 65.5),
-    ("tri_regular", "face", 0, "120"): (0, "converged", 32, 109.0),
-    ("tri_regular", "face", 1, "120"): (0, "converged", 34, 96.5),
-    ("tri_regular", "vertex", 0, "120"): (0, "converged", 19, 51.5),
-    ("tri_regular", "vertex", 1, "120"): (0, "converged", 20, 58.0),
+    ("tri_irregular", "face", 0, "30"): (4, "diverged", None, 53.5),
+    ("tri_irregular", "face", 1, "30"): (4, "diverged", None, 56.5),
+    ("tri_irregular", "vertex", 0, "30"): (0, "converged", 20, 31.0),
+    ("tri_irregular", "vertex", 1, "30"): (0, "converged", 24, 37.0),
+    ("tri_regular", "face", 0, "30"): (0, "converged", 91, 137.5),
+    ("tri_regular", "face", 1, "30"): (0, "converged", 77, 116.5),
+    ("tri_regular", "vertex", 0, "30"): (0, "converged", 18, 28.0),
+    ("tri_regular", "vertex", 1, "30"): (0, "converged", 20, 31.0),
+    ("quad", "face", 0, "120"): (0, "converged", 27, 41.5),
+    ("quad", "face", 1, "120"): (0, "converged", 27, 41.5),
+    ("quad", "vertex", 0, "120"): (0, "converged", 24, 37.0),
+    ("quad", "vertex", 1, "120"): (0, "converged", 24, 37.0),
+    ("tri_irregular", "face", 0, "120"): (4, "diverged", None, 38.5),
+    ("tri_irregular", "face", 1, "120"): (4, "diverged", None, 40.0),
+    ("tri_irregular", "vertex", 0, "120"): (0, "converged", 22, 34.0),
+    ("tri_irregular", "vertex", 1, "120"): (0, "converged", 24, 37.0),
+    ("tri_regular", "face", 0, "120"): (0, "converged", 31, 47.5),
+    ("tri_regular", "face", 1, "120"): (0, "converged", 34, 52.0),
+    ("tri_regular", "vertex", 0, "120"): (0, "converged", 18, 28.0),
+    ("tri_regular", "vertex", 1, "120"): (0, "converged", 21, 32.5),
     ("quad", "face", 0, "210"): (0, "converged", 27, 41.5),
     ("quad", "face", 1, "210"): (0, "converged", 27, 41.5),
     ("quad", "vertex", 0, "210"): (0, "converged", 24, 37.0),
     ("quad", "vertex", 1, "210"): (0, "converged", 24, 37.0),
-    ("tri_irregular", "face", 0, "210"): (4, "diverged", None, 42.0),
-    ("tri_irregular", "face", 1, "210"): (4, "diverged", None, 43.5),
-    ("tri_irregular", "vertex", 0, "210"): (0, "converged", 21, 43.0),
-    ("tri_irregular", "vertex", 1, "210"): (0, "converged", 23, 47.0),
-    ("tri_regular", "face", 0, "210"): (0, "converged", 64, 104.0),
-    ("tri_regular", "face", 1, "210"): (0, "converged", 56, 95.0),
-    ("tri_regular", "vertex", 0, "210"): (0, "converged", 18, 53.5),
-    ("tri_regular", "vertex", 1, "210"): (0, "converged", 20, 49.5),
+    ("tri_irregular", "face", 0, "210"): (4, "diverged", None, 41.5),
+    ("tri_irregular", "face", 1, "210"): (4, "diverged", None, 43.0),
+    ("tri_irregular", "vertex", 0, "210"): (0, "converged", 21, 32.5),
+    ("tri_irregular", "vertex", 1, "210"): (0, "converged", 22, 34.0),
+    ("tri_regular", "face", 0, "210"): (0, "converged", 91, 137.5),
+    ("tri_regular", "face", 1, "210"): (0, "converged", 77, 116.5),
+    ("tri_regular", "vertex", 0, "210"): (0, "converged", 18, 28.0),
+    ("tri_regular", "vertex", 1, "210"): (0, "converged", 20, 31.0),
 }
 
 
@@ -321,17 +325,106 @@ def test_solve_counts(tmp_path, capsys, kind, mode, p, theta):
     assert got == SOLVE_COUNTS[kind, mode, p, theta]
 
 
-def test_solve_digest_with_both_triangles_in_superlu(tmp_path, capsys):
-    # Quad 17x17 at theta 120: both triangles are 15 levels deep, so both
-    # go to SuperLU and the bytes are the ones taken before the level solve.
+def test_solve_digest_with_the_downwind_triangle_in_superlu(tmp_path, capsys):
+    # Quad 17x17 at theta 120: in downwind order the lower triangle holds
+    # every upwind neighbor and is 30 levels deep, so it goes to SuperLU; the
+    # upper triangle is the diagonal.
     grid, history = tmp_path / "g.txt", tmp_path / "history.csv"
     save_grid(generate(GenSpec(kind="quad", nx=17, ny=17)), grid)
     code = main(["solve", str(grid), "--theta", "120", "-o", str(history)])
     digest = hashlib.sha256(history.read_bytes()
                             + capsys.readouterr().out.encode())
     assert code == 0
-    assert digest.hexdigest() == ("6acec7ff13ecf7ebb4761720dfad3d3e"
-                                  "193765e86c57ff5a94836e83bd5d167e")
+    assert digest.hexdigest() == ("e94c11dc87069fb8341d0ce4d756282a"
+                                  "a2c75bbc594362350438f79eeeba5522")
+
+
+def downwind(jac):
+    """The solver's downwind order of J's cells and the triangles of
+    P J P^T that its sweeps solve."""
+    perm, inv = solver._downwind_order(jac)
+    return perm, solver._sweep_triangles(jac, inv)
+
+
+def strong_components(jac):
+    """The strongly connected component of each cell in J's upwind graph,
+    the zero-free pattern of J."""
+    from scipy.sparse.csgraph import connected_components
+
+    graph = jac.copy()
+    graph.eliminate_zeros()
+    return connected_components(graph, directed=True, connection="strong")[1]
+
+
+@pytest.mark.parametrize("kind, mode, iterations, work", [
+    ("tri_irregular", "vertex", 24, 37.0),
+    ("tri_regular", "face", 90, 136.0),
+    ("quad", "face", 33, 50.5),
+])
+def test_solve_counts_do_not_depend_on_cell_numbering(kind, mode, iterations,
+                                                      work):
+    # The sweeps run in downwind order, so a renumbering of the cells leaves
+    # the iterations and work units as they are and moves the history by
+    # roundoff alone (in file order the work units varied twofold).
+    grid = generate(GenSpec(kind=kind, nx=33, ny=33, perturb=0.3, seed=42))
+    want = defect_correction_solve(grid, ProblemSpec(), stencil_mode=mode)
+    assert (want.iterations_to_tol, want.work_units) == (iterations, work)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(grid.n_cells)
+        got = defect_correction_solve(
+            Grid(grid.name, grid.nodes, grid.cell_nodes[order]),
+            ProblemSpec(), stencil_mode=mode)
+        assert got.status == "converged"
+        assert got.work_history == want.work_history
+        np.testing.assert_allclose(got.residual_history,
+                                   want.residual_history, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.solution, want.solution[order],
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("theta", [0.0, 30.0, 120.0, 210.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_downwind_order_makes_j_lower_triangular(kind, theta):
+    # The generated grids' upwind graphs are acyclic, so in downwind order
+    # every nonzero of J lies on or below the diagonal: one forward sweep
+    # solves J exactly. This pins the order of SciPy's strong-component
+    # labels, which SciPy does not document. J stores the downwind side of
+    # each face as a zero, so nonzero values are counted, not entries.
+    import scipy.sparse as sp
+
+    grid = generate(GenSpec(kind=kind, nx=33, ny=33, perturb=0.3, seed=42))
+    jac = jacobian_low_order(grid, theta)
+    assert len(np.unique(strong_components(jac))) == grid.n_cells
+    perm, (lower, upper) = downwind(jac)
+    assert np.array_equal(np.sort(perm), np.arange(grid.n_cells))
+    assert np.count_nonzero(sp.triu(upper, k=1).data) == 0
+    assert np.count_nonzero(lower.data) == np.count_nonzero(jac.data)
+    assert lower.nnz + upper.nnz == jac.nnz + grid.n_cells
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_downwind_solve_with_cyclic_upwind_graph(seed):
+    # Quad cells whose interior nodes are moved by up to 0.45 h (the
+    # generator's tri_irregular jitter) include non-convex ones, and at
+    # theta 30 their upwind graph has cycles: 14 to 20 strong components of
+    # 2 cells or more per grid. Only entries inside a component lie above
+    # the diagonal, and the solve converges.
+    import scipy.sparse as sp
+
+    quad = generate(GenSpec(kind="quad", nx=65, ny=65))
+    jitter = generate(GenSpec(kind="tri_irregular", nx=65, ny=65,
+                              perturb=0.45, seed=seed))
+    grid = replace_nodes(quad, jitter.nodes)
+    jac = jacobian_low_order(grid, 30.0)
+    label = strong_components(jac)
+    assert np.count_nonzero(np.bincount(label) > 1) >= 10
+    perm, (_, upper) = downwind(jac)
+    above = sp.triu(upper, k=1).tocoo()
+    nonzero = above.data != 0
+    assert nonzero.any()
+    assert np.array_equal(label[perm[above.row[nonzero]]],
+                          label[perm[above.col[nonzero]]])
+    assert defect_correction_solve(grid, ProblemSpec()).converged
 
 
 def substitute(tri, r, lower):
@@ -396,6 +489,25 @@ def test_deep_triangle_goes_to_superlu(monkeypatch):
             assert solver._levels(strict).max() == 31
             m.setattr(solver, "MAX_LEVELS", 30)
             assert solver._levels(strict) is None
+
+
+def test_superlu_solves_a_deep_upper_triangle():
+    # Downwind sweeps give SuperLU deep lower triangles; its path for a deep
+    # upper triangle, which a cyclic upwind graph could give it, stays
+    # checked here. Quad 17x17 at theta 120 in file order: the upper
+    # triangle is 15 levels deep.
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
+
+    jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=17, ny=17)),
+                             120.0)
+    tri = sp.triu(jac, format="csc")
+    r = np.random.default_rng(5).uniform(-1.0, 1.0, jac.shape[0])
+    want, depth = substitute(tri, r, lower=False)
+    assert depth == 15 > solver.MAX_LEVELS
+    got = solver._triangle_solver(tri)
+    assert isinstance(got, SuperLU)
+    np.testing.assert_allclose(got.solve(r), want, rtol=1e-13)
 
 
 def test_triangle_factor_ignores_panel_size(monkeypatch):

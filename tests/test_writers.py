@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,3 +114,21 @@ def test_mixed_grid_sections():
     assert lines[start + 1:start + 4] == ["9", "5", "5"]
     assert "CELLS 3 13" in lines
     assert grid_to_text(grid).splitlines()[2] == "0.0 0.0"
+
+
+def test_cell_lines_memory():
+    # The node words are formatted _LINES indices at a time, so the cell
+    # lines of a 257^2 grid (66,049 nodes) peak at the word table plus one
+    # block, 1.17 MiB here. Formatted from one tuple of all indices, they
+    # peaked at 3.44 MiB.
+    grid = generate(GenSpec(kind="quad", nx=257, ny=257))
+    for _ in cell_lines(grid):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in cell_lines(grid):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
