@@ -158,6 +158,30 @@ def parse_grid(source):
         all with a line number -- or a geometry fault found by
         :func:`derive_geometry`.
     """
+    # A seekable stream is read again on the error path rather than held,
+    # so that the file's bytes are gone while Grid derives the geometry.
+    seekable = getattr(source, "seekable", None)
+    start = source.tell() if seekable is not None and seekable() else None
+    data = _read(source)
+    if isinstance(data, bytes):
+        parsed = _parse_bulk(data, "")
+        if parsed is not None:
+            if start is not None:
+                data = None
+            try:
+                return Grid(*parsed)
+            except GridFormatError:
+                pass
+            if data is None:
+                source.seek(start)
+                data = _read(source)
+    return _parse_lines(
+        data.decode("ascii") if isinstance(data, bytes) else data, "")
+
+
+def _read(source):
+    """The text of a parse_grid source: its bytes where it is ASCII, else a
+    str."""
     try:
         # A text stream decodes in its read(); ASCII bytes need no decoding.
         data = source.read() if hasattr(source, "read") else source
@@ -165,17 +189,9 @@ def parse_grid(source):
             data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
-    if isinstance(data, str):
-        if not data.isascii():
-            return _parse_lines(data, "")
-        data = data.encode("ascii")
-    parsed = _parse_bulk(data, "")
-    if parsed is not None:
-        try:
-            return Grid(*parsed)
-        except GridFormatError:
-            pass
-    return _parse_lines(data.decode("ascii"), "")
+    if isinstance(data, str) and data.isascii():
+        return data.encode("ascii")
+    return data
 
 
 def _decode_error(exc):

@@ -41,13 +41,21 @@ SuperLU, factored once with J's stored zeros, whose bits it depends on, and
 with panel_size=1: a triangle factors without updates, having nothing below
 its diagonal to eliminate, so the panel width sizes only SuperLU's work
 arrays, which are allocated in C and grow with it, and cannot change a bit
-of the factors.
+of the factors. A short walk settles most deep triangles before any level
+is counted: MAX_LEVELS + 1 steps along strict nonzero entries from one of
+a few end columns prove a row deeper than the cap, so the triangle goes
+straight to SuperLU. Only where no walk gets that far do the level rounds
+run, and they decide as they would alone.
 
-J, Kx and Ky have one CSR pattern, built once from the face adjacency, and
-each sums its terms per entry in the order of a COO-to-CSR assembly; Gx and
-Gy take each block of LSQ coefficients straight into their rows, beside a
-diagonal slot. Each operator owns arrays of exactly its entries (see
-_Advection for the order of the build).
+The face adjacency and J's CSR pattern are built once, for J, Kx and Ky and
+for face-stencil Gx and Gy. J keeps that pattern, stored zeros included,
+until its triangles are built; Kx and Ky share one zero-free pattern, the
+entries where J, Kx or Ky is nonzero, and the loop takes J on it too. Each
+sums its terms per entry in the order of a COO-to-CSR assembly. Gx and Gy
+take each block of LSQ coefficients straight into their rows, beside a
+diagonal slot, and share their pattern, J's for face stencils, wherever
+neither drops a zero. An operator that drops one owns arrays of exactly its
+entries (see _Advection for the order of the build).
 
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
@@ -68,9 +76,12 @@ DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
 # The deepest sweep triangle solved level by level; a deeper one goes to
 # SuperLU. In downwind order the upper triangle is the diagonal, or a few
-# levels inside cycles, and the lower one is far deeper than this. The cap
-# was set when the sweeps ran in file order, with both triangles shallow or
-# deep. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
+# levels inside cycles, and the lower one is far deeper than this, hundreds
+# of levels: a walk of MAX_LEVELS + 1 steps (_too_deep) proves that in about
+# 0.02 ms, where counting the levels copies the triangle and runs all
+# MAX_LEVELS + 1 rounds over every entry (0.2-9 ms from 17^2 to 129^2). The
+# cap was set when the sweeps ran in file order, with both triangles shallow
+# or deep. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
 # SuperLU -> levels: 129^2 nodes depth 3 479 -> 87 us, depth 14 776 -> 359;
 # 65^2 depth 12 119 -> 96; 33^2 depth 3 45 -> 18, depth 12 29 -> 66; 17^2
 # depth 2 9 -> 10, depth 9 9 -> 42. A level costs about 5 us up to 33^2 and
@@ -145,47 +156,81 @@ class SolveReport:
 class _Advection:
     """R(u) = J u + Kx (Gx u) + Ky (Gy u) - b, with J, Kx, Ky from one rule.
 
-    Each operator owns arrays of exactly its nnz entries. J, Kx, Ky and b
-    come first and Gx, Gy last, so that the working arrays of the first
-    build are gone before the gradient build, the largest transient,
-    starts."""
+    The operators share their patterns as the module docstring says. J, Kx
+    and Ky come first, Gx and Gy next and b last, so that the working
+    arrays of the first build are gone before the gradient build, the
+    largest transient, starts, and it runs beside as little as can be."""
 
     def __init__(self, grid, theta, p=0, stencil_mode="face",
                  first_order=False, source=source_term, inflow=exact_solution):
         import scipy.sparse as sp
 
         n = grid.n_cells
-        self.jac, self.kx, self.ky, self.b = _face_operators(
-            grid, theta, source, inflow)
+        ptr, stencil = _adjacency(grid, "face")
+        # int32 halves its memory, with room left for _systems to add to it.
+        if len(stencil) < 2**30:
+            ptr = ptr.astype(np.int32)
+        face = ptr, stencil
+        pattern = _with_diagonal(*face)
+        del ptr, stencil
+        self.jac, self.kx, self.ky, self._nonzero = _face_operators(
+            grid, theta, pattern)
+        shared = (face, pattern[:2]) if stencil_mode == "face" else ()
+        del face, pattern
         if first_order:
             self.degenerate = np.zeros(n, dtype=bool)
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
             self.degenerate, self.gx_op, self.gy_op = _gradient_operators(
-                grid, p, stencil_mode)
+                grid, p, stencil_mode, *shared)
+        del shared
+        self.b = _source_vector(grid, theta, source, inflow)
+
+    def share_pattern(self):
+        """Move J onto the pattern of Kx and Ky, without the stored zeros
+        that only SuperLU's bits rest on. A CSR matvec adds each row from
+        +0.0, so its sums never turn -0.0, and on finite vectors the zero
+        products it drops add nothing."""
+        import scipy.sparse as sp
+
+        self.jac = sp.csr_matrix(
+            (self.jac.data[self._nonzero], self.kx.indices, self.kx.indptr),
+            shape=self.jac.shape)
+        del self._nonzero
 
     def residual(self, u):
         return (self.jac @ u + self.kx @ (self.gx_op @ u)
                 + self.ky @ (self.gy_op @ u) - self.b)
 
 
-def _face_operators(grid, theta, source, inflow):
-    """J, Kx, Ky and b of _Advection."""
+def _upwind(fa, theta, faces=slice(None)):
+    """Weights (up, dn) of the flux up x_near + dn x_far out of the owner's
+    side of the given faces, and (vp, vn) out of the neighbor's side. With
+    c = a.n on the owner's side, (up, dn) = (c + |c|, c - |c|) l / 2 and
+    (vp, vn) likewise of -c. These equal (-dn, -up), so what leaves one cell
+    enters the other, but negating would flip the sign of zero weights in
+    J's pinned bytes."""
+    t = math.radians(theta)
+    c = (math.cos(t) * fa.normal[faces, 0]
+         + math.sin(t) * fa.normal[faces, 1])
+    length = fa.length[faces]
+    return [(0.5 * (s + np.abs(s)) * length, 0.5 * (s - np.abs(s)) * length)
+            for s in (c, -c)]
+
+
+def _face_operators(grid, theta, pattern):
+    """J, Kx and Ky of _Advection, with J on the face pattern (indptr,
+    indices, diag) of _with_diagonal, and the mask of J's entries that Kx
+    and Ky keep."""
     import scipy.sparse as sp
 
     n = grid.n_cells
-    indptr, indices, slots = _face_pattern(grid)
-    t = math.radians(theta)
+    indptr, indices, diag = pattern
+    slots = _face_slots(grid, indptr, indices, diag)
     fa = grid.face_arrays
     own, nb = fa.owner, fa.neighbor
     inner, outer = nb != -1, nb == -1
-    c = math.cos(t) * fa.normal[:, 0] + math.sin(t) * fa.normal[:, 1]
-
-    def upwind(c):
-        """Weights (up, dn) of the flux up x_near + dn x_far out of a face
-        side whose outward normal has a.n = c."""
-        return (0.5 * (c + np.abs(c)) * fa.length,
-                0.5 * (c - np.abs(c)) * fa.length)
+    (up, dn), (vp, vn) = _upwind(fa, theta)
 
     def faces(so, sn):
         """Sum over the sides of all faces of the flux out of that side,
@@ -195,17 +240,12 @@ def _face_operators(grid, theta, source, inflow):
         unchanged: x = first, then x += next, as SciPy sums the duplicates
         of a COO matrix. J's pinned bytes, stored zeros included, rest on
         that order."""
-        # (up, dn) on the owner's side; (vp, vn) on the neighbor's. These
-        # equal (-dn, -up), so what leaves one cell enters the other, but
-        # negating would flip the sign of zero weights in J's pinned bytes.
-        (up, dn), (vp, vn) = upwind(c), upwind(-c)
         data = np.full(len(indices), -0.0)
-        for slot, w in zip(slots, ((up * so)[inner], (dn * sn)[inner],
-                                   (vp * sn)[inner], (vn * so)[inner],
-                                   (up * so)[outer])):
-            np.add.at(data, slot, w)
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                             shape=(n, n))
+        for slot, (w, s, side) in zip(slots, (
+                (up, so, inner), (dn, sn, inner), (vp, sn, inner),
+                (vn, so, inner), (up, so, outer))):
+            np.add.at(data, slot, (w * s)[side])
+        return data
 
     # Face states are reconstructed to the midpoint m from the centroid
     # c_j, u_j + (m - c_j) . grad u_j, so Kx scales x_j by mx - cx_j.
@@ -214,30 +254,53 @@ def _face_operators(grid, theta, source, inflow):
     jac = faces(1.0, 1.0)
     kx = faces(mx - cx[own], mx - cx[nb])
     ky = faces(my - cy[own], my - cy[nb])
-    # A boundary face's far state is the inflow data.
-    ub = np.asarray(inflow(mx[outer], my[outer]), dtype=float)
-    dn = upwind(c)[1]
-    b = source(cx, cy, theta) * grid.areas \
-        - np.bincount(own[outer], weights=dn[outer] * ub, minlength=n)
-    return jac, kx, ky, b
+    del slots
+    nonzero = (jac != 0) | (kx != 0) | (ky != 0)
+    ptr, ind = _kept(indptr, indices, nonzero)
+    kx, ky = (sp.csr_matrix((k[nonzero], ind, ptr), shape=(n, n))
+              for k in (kx, ky))
+    return sp.csr_matrix((jac, indices, indptr), shape=(n, n)), kx, ky, nonzero
+
+
+def _source_vector(grid, theta, source, inflow):
+    """b of _Advection: the source, less what the inflow data, a boundary
+    face's far state, carries in."""
+    fa = grid.face_arrays
+    outer = np.flatnonzero(fa.neighbor == -1)
+    dn = _upwind(fa, theta, outer)[0][1]
+    mx, my = fa.midpoint[outer].T
+    ub = np.asarray(inflow(mx, my), dtype=float)
+    cx, cy = grid.centroids.T
+    return source(cx, cy, theta) * grid.areas - np.bincount(
+        fa.owner[outer], weights=dn * ub, minlength=grid.n_cells)
 
 
 def _with_diagonal(indptr, indices):
     """A CSR pattern (indptr, indices) whose rows are ascending and lack
     their own column, as lsq's stencils do, with it inserted: the new
-    (indptr, indices) and the positions of the diagonal in them."""
+    (indptr, indices), of one dtype so that SciPy takes them as they are,
+    and the positions of the diagonal in them."""
     n = len(indptr) - 1
     row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
     at = indptr[:-1] + np.bincount(row[indices < row], minlength=n)
     del row
-    cells = np.arange(n, dtype=indices.dtype)
-    return (indptr + np.arange(n + 1), np.insert(indices, at, cells),
+    index = np.int32 if len(indices) + n < 2**31 else np.intp
+    cells = np.arange(n, dtype=index)
+    return ((indptr + np.arange(n + 1)).astype(index),
+            np.insert(indices.astype(index, copy=False), at, cells),
             at + cells)
 
 
-def _face_pattern(grid):
-    """J's CSR pattern (indptr, indices), each cell's own column and its
-    face neighbors' ascending, and the slots that the sides of the faces
+def _kept(indptr, indices, keep):
+    """The CSR pattern (indptr, indices) of the entries where keep is True."""
+    before = np.zeros(len(keep) + 1, dtype=indptr.dtype)
+    np.cumsum(keep, dtype=indptr.dtype, out=before[1:])
+    return before[indptr], indices[keep]
+
+
+def _face_slots(grid, indptr, indices, diag):
+    """The slots of J's pattern (indptr, indices), each cell's own column
+    at diag and its face neighbors' ascending, that the sides of the faces
     add to, in the order they add: owner-owner, owner-neighbor,
     neighbor-neighbor and neighbor-owner of each interior face, then
     owner-owner of each boundary face."""
@@ -245,27 +308,29 @@ def _face_pattern(grid):
     inner = fa.neighbor != -1
     o, m, ob = fa.owner[inner], fa.neighbor[inner], fa.owner[~inner]
     n = grid.n_cells
-    indptr, indices, diag = _with_diagonal(*_adjacency(grid, "face"))
     key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
     key += indices
     # Half the memory of np.intp; slots index entries, up to len(indices).
     slot_type = np.int32 if len(indices) < 2**31 else np.intp
     slots = (diag[o], np.searchsorted(key, o * n + m), diag[m],
              np.searchsorted(key, m * n + o), diag[ob])
-    return indptr, indices, [s.astype(slot_type) for s in slots]
+    return [s.astype(slot_type) for s in slots]
 
 
-def _gradient_operators(grid, p, stencil_mode):
+def _gradient_operators(grid, p, stencil_mode, adjacency=None, pattern=None):
     """The degenerate flags of the LSQ stencils, and Gx and Gy: each row holds
     the cell's coefficients and, on the diagonal, 0.0 less their sum, so
     that grad = (Gx u, Gy u). Each block of :func:`gridgauge.lsq._systems`
     is written into place and dropped; its row sums are ``np.bincount``
     sums, from +0.0 in column order. Zeros are dropped, so degenerate rows
-    are empty."""
+    are empty; an operator that drops none takes the pattern as it is, so
+    Gx and Gy share it. ``adjacency`` and ``pattern``, the stencils'
+    ``_adjacency`` and its ``_with_diagonal`` (indptr, indices), are built
+    here unless given."""
     import scipy.sparse as sp
 
     n = grid.n_cells
-    ptr, stencil = _adjacency(grid, stencil_mode)
+    ptr, stencil = adjacency or _adjacency(grid, stencil_mode)
     degenerate = np.empty(n, dtype=bool)
     data = [np.empty(len(stencil) + n), np.empty(len(stencil) + n)]
     for rows, row, *_, bad, cx, cy in _systems(grid, p, ptr, stencil):
@@ -281,22 +346,16 @@ def _gradient_operators(grid, p, stencil_mode):
             out[diag] = 0.0 - np.bincount(row, c, minlength=len(bad))
         degenerate[rows] = bad
         # Each block is dropped before the next is built.
-        del row, _, cx, cy, cell, above, at
-    indptr, indices, _ = _with_diagonal(ptr, stencil)
-    del ptr, stencil, _
+        del row, _, cx, cy, c, cell, above, at
+    indptr, indices = pattern or _with_diagonal(ptr, stencil)[:2]
+    del ptr, stencil, adjacency, pattern
 
     def gradient(data):
         keep = data != 0
         if keep.all():
-            ptr, ind = indptr.copy(), indices.copy()
-        else:
-            data, ind = data[keep], indices[keep]
-            # Row r starts earlier by the zeros of the rows before it.
-            row = np.searchsorted(indptr, np.flatnonzero(~keep), "right") - 1
-            del keep
-            ptr = indptr - np.concatenate(
-                [[0], np.cumsum(np.bincount(row, minlength=n))])
-        return sp.csr_matrix((data, ind, ptr), shape=(n, n))
+            return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        ptr, ind = _kept(indptr, indices, keep)
+        return sp.csr_matrix((data[keep], ind, ptr), shape=(n, n))
 
     gx = gradient(data.pop(0))
     return degenerate, gx, gradient(data.pop(0))
@@ -364,23 +423,48 @@ def _levels(strict):
     return None
 
 
+def _too_deep(tri):
+    """Whether a walk along the strict nonzero entries of the triangle
+    ``tri`` (CSC) proves some row deeper than MAX_LEVELS. From each of its
+    first and last three columns it steps MAX_LEVELS + 1 times from column
+    j to the last row that reads j; a row that reads a row of level k has
+    level k + 1 or more, so a walk that makes every step ends deeper than
+    MAX_LEVELS. A walk that stops short proves nothing."""
+    n = tri.shape[0]
+    ptr, rows, data = tri.indptr, tri.indices, tri.data
+    for j in (*range(min(n, 3)), *range(max(n - 3, 0), n)):
+        for _ in range(MAX_LEVELS + 1):
+            lo, hi = ptr[j], ptr[j + 1]
+            readers = [i for i, v in zip(rows[lo:hi].tolist(),
+                                         data[lo:hi].tolist())
+                       if v != 0 and i != j]
+            if not readers:
+                break
+            j = readers[-1]
+        else:
+            return True
+    return False
+
+
 def _triangle_solver(tri):
     """A solver of one sweep triangle of P J P^T, given in CSC with J's
     stored zeros: a _LevelSolve when its strict part is at most MAX_LEVELS
     levels deep, else SuperLU's factor of ``tri`` as given. Both have
-    solve(r)."""
+    solve(r). _levels counts the levels only where _too_deep's walk does
+    not already prove the triangle too deep."""
     import scipy.sparse.linalg as spla
 
-    strict = tri.tocsr()
-    strict.setdiag(0.0)
-    strict.eliminate_zeros()
-    strict.sort_indices()
-    level = _levels(strict)
-    if level is None:
+    if not _too_deep(tri):
+        strict = tri.tocsr()
+        strict.setdiag(0.0)
+        strict.eliminate_zeros()
+        strict.sort_indices()
+        level = _levels(strict)
+        if level is not None:
+            return _LevelSolve(tri.diagonal(), strict, level)
         del strict  # before SuperLU allocates its factors
-        return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                         panel_size=1)
-    return _LevelSolve(tri.diagonal(), strict, level)
+    return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     panel_size=1)
 
 
 def _downwind_order(jac):
@@ -406,15 +490,35 @@ def _downwind_order(jac):
 
 def _sweep_triangles(jac, inv):
     """The lower and upper triangles of P J P^T (CSC, with J's stored
-    zeros), where P moves cell i to position inv[i]."""
+    zeros), where P moves cell i to position inv[i]: J's rows gathered into
+    downwind order, each with its entries in J's stored order and its
+    columns remapped, then split at the diagonal. SciPy's CSR-to-CSC
+    conversion lists each column's rows in ascending order, so each
+    triangle is byte for byte that of a COO build."""
     import scipy.sparse as sp
 
     n = jac.shape[0]
-    inv = inv.astype(jac.indices.dtype)
-    row = np.repeat(inv, np.diff(jac.indptr))
-    col = inv[jac.indices]
-    return [sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
-            for k in (col <= row, col >= row)]
+    perm = np.empty_like(inv)
+    perm[inv] = np.arange(n)
+    length = np.diff(jac.indptr)[perm]
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(length, out=start[1:])
+    # Entry e of row k is entry e - start[k] of J's row perm[k].
+    take = np.repeat(jac.indptr[perm] - start[:-1], length)
+    take += np.arange(len(take))
+    data = jac.data[take]
+    # take() indexes by a 32-bit array faster than [] does.
+    col = inv.astype(jac.indices.dtype).take(jac.indices.take(take))
+    del take
+    row = np.repeat(np.arange(n, dtype=col.dtype), length)
+    triangles = []
+    for part in (col <= row, col >= row):
+        at = np.flatnonzero(part)
+        indptr = np.zeros(n + 1, dtype=col.dtype)
+        np.cumsum(np.bincount(row[at], minlength=n), out=indptr[1:])
+        triangles.append(sp.csr_matrix((data[at], col[at], indptr),
+                                       shape=(n, n)).tocsc())
+    return triangles
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
@@ -446,14 +550,16 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     if not math.isfinite(r0):
         return SolveReport("diverged", history, work_history, u)
 
+    # The triangles keep J's stored zeros, which SuperLU's bits rest on; the
+    # loop takes J on the pattern of Kx and Ky.
+    full = op.jac
+    op.share_pattern()
     jac = op.jac
     perm, inv = _downwind_order(jac)
-    lower, upper = map(_triangle_solver, _sweep_triangles(jac, inv))
-    # SuperLU's bits depend on J's stored zeros, so the solvers come first.
-    # A CSR matvec adds each row from +0.0, so its sums never turn -0.0, and
-    # on finite vectors the zero products it drops add nothing.
-    for m in (jac, op.kx, op.ky):
-        m.eliminate_zeros()
+    triangles = _sweep_triangles(full, inv)
+    del full  # before SuperLU allocates its factors
+    lower, upper = map(_triangle_solver, triangles)
+    del triangles
 
     status = "not-converged"
     b, r, mag = np.empty(n), np.empty(n), np.empty(n)

@@ -577,6 +577,40 @@ def test_zero_fan_area_rejected():
     assert err.value.line == 6
 
 
+class ReadOnly:
+    """A stream with read() and nothing else: it cannot be read again."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def read(self):
+        return self.data
+
+
+def test_geometry_fault_from_any_source_names_its_line():
+    # The bow-tie of test_zero_fan_area_rejected passes the bulk parser and
+    # fails in Grid, so parse_grid parses it again line by line: from the
+    # text it holds, or from a seekable stream read again from where it
+    # started.
+    text = """4 1
+0.6666666666666666 0.5
+1.0 1.0
+1.0 0.5
+0.6666666666666666 1.0
+4 0 1 2 3
+"""
+    after_junk = io.BytesIO(b"junk" + text.encode())
+    after_junk.read(4)
+    for source in (text, text.encode(), io.StringIO(text),
+                   io.BytesIO(text.encode()), after_junk, ReadOnly(text),
+                   ReadOnly(text.encode())):
+        with pytest.raises(GridFormatError) as err:
+            parse_grid(source)
+        assert str(err.value) == ("line 6: cell has non-positive area "
+                                  "(vertices must be counter-clockwise)")
+        assert err.value.line == 6
+
+
 def test_first_faulty_edge_reported():
     # Cell 2 is the third cell on edge (0, 1); cell 3, later, has a
     # zero-length edge.
@@ -1162,3 +1196,22 @@ def test_face_columns_memory(build, bound, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= bound * grid_nbytes(grid)
+
+
+def test_load_grid_frees_the_file_before_the_geometry(tmp_path):
+    # parse_grid reads a seekable stream again on its error path rather than
+    # holding the file's bytes while Grid derives the geometry. Holding them,
+    # load_grid of this grid (a 1.16 MiB file) peaked at 7.97 MiB for 5.65
+    # MiB kept, 1.41 times; here at 1.21 times.
+    spec = GenSpec(kind="tri_irregular", nx=129, ny=129, perturb=0.3,
+                   seed=42)
+    path = tmp_path / "g.txt"
+    save_grid(generate(spec), path)
+    load_grid(path)
+    tracemalloc.start()
+    try:
+        grid = load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * grid_nbytes(grid)

@@ -402,19 +402,24 @@ def test_downwind_order_makes_j_lower_triangular(kind, theta):
     assert lower.nnz + upper.nnz == jac.nnz + grid.n_cells
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_downwind_solve_with_cyclic_upwind_graph(seed):
-    # Quad cells whose interior nodes are moved by up to 0.45 h (the
-    # generator's tri_irregular jitter) include non-convex ones, and at
-    # theta 30 their upwind graph has cycles: 14 to 20 strong components of
-    # 2 cells or more per grid. Only entries inside a component lie above
-    # the diagonal, and the solve converges.
-    import scipy.sparse as sp
-
+def jittered_quads(seed):
+    """65x65-node quads whose interior nodes are moved by up to 0.45 h (the
+    generator's tri_irregular jitter)."""
     quad = generate(GenSpec(kind="quad", nx=65, ny=65))
     jitter = generate(GenSpec(kind="tri_irregular", nx=65, ny=65,
                               perturb=0.45, seed=seed))
-    grid = replace_nodes(quad, jitter.nodes)
+    return replace_nodes(quad, jitter.nodes)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_downwind_solve_with_cyclic_upwind_graph(seed):
+    # The jittered quads include non-convex cells, and at theta 30 their
+    # upwind graph has cycles: 14 to 20 strong components of 2 cells or more
+    # per grid. Only entries inside a component lie above the diagonal, and
+    # the solve converges.
+    import scipy.sparse as sp
+
+    grid = jittered_quads(seed)
     jac = jacobian_low_order(grid, 30.0)
     label = strong_components(jac)
     assert np.count_nonzero(np.bincount(label) > 1) >= 10
@@ -425,6 +430,111 @@ def test_downwind_solve_with_cyclic_upwind_graph(seed):
     assert np.array_equal(label[perm[above.row[nonzero]]],
                           label[perm[above.col[nonzero]]])
     assert defect_correction_solve(grid, ProblemSpec()).converged
+
+
+def coo_triangles(jac, inv):
+    """The triangles of P J P^T as a COO build gives them, the reference of
+    _sweep_triangles: every entry of J with its remapped row and column."""
+    import scipy.sparse as sp
+
+    n = jac.shape[0]
+    inv = inv.astype(jac.indices.dtype)
+    row = np.repeat(inv, np.diff(jac.indptr))
+    col = inv[jac.indices]
+    return [sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
+            for k in (col <= row, col >= row)]
+
+
+def assert_same_bytes(got, want):
+    for a in ("indptr", "indices", "data"):
+        assert getattr(got, a).dtype == getattr(want, a).dtype
+        assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+
+
+@pytest.mark.parametrize("nx", [17, 33])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_triangles_match_a_coo_build(kind, nx):
+    # The triangles come from J's rows gathered into downwind order and
+    # split at the diagonal; SuperLU's bits rest on their bytes.
+    grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3, seed=42))
+    for theta in (0.0, 30.0, 120.0, 210.0):
+        jac = jacobian_low_order(grid, theta)
+        inv = solver._downwind_order(jac)[1]
+        for got, want in zip(solver._sweep_triangles(jac, inv),
+                             coo_triangles(jac, inv)):
+            assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_triangles_match_a_coo_build_with_cycles(seed):
+    jac = jacobian_low_order(jittered_quads(seed), 30.0)
+    inv = solver._downwind_order(jac)[1]
+    for got, want in zip(solver._sweep_triangles(jac, inv),
+                         coo_triangles(jac, inv)):
+        assert_same_bytes(got, want)
+
+
+def check_triangle_solvers(jac):
+    """Each triangle of J, in downwind and in file order, gets the solver
+    that _levels alone gives it: SuperLU past MAX_LEVELS, else a _LevelSolve
+    with the same parts."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
+
+    for tri in (*downwind(jac)[1], sp.tril(jac, format="csc"),
+                sp.triu(jac, format="csc")):
+        strict = tri.tocsr()
+        strict.setdiag(0.0)
+        strict.eliminate_zeros()
+        strict.sort_indices()
+        level = solver._levels(strict)
+        got = solver._triangle_solver(tri)
+        if level is None:
+            assert isinstance(got, SuperLU)
+            continue
+        want = solver._LevelSolve(tri.diagonal(), strict, level)
+        assert isinstance(got, solver._LevelSolve)
+        assert got.diag.tobytes() == want.diag.tobytes()
+        assert len(got.parts) == len(want.parts)
+        for (rows, part, diag), (want_rows, want_part, want_diag) in zip(
+                got.parts, want.parts):
+            assert np.array_equal(rows, want_rows)
+            assert_same_bytes(part, want_part)
+            assert diag.tobytes() == want_diag.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_depth_walk_keeps_every_triangle_solver(kind):
+    # _triangle_solver skips _levels only where a walk proves the triangle
+    # deeper than MAX_LEVELS, so every triangle keeps its solver: 4 kinds x
+    # 5^2, 17^2, 33^2 and 65^2 x seeds 0 and 7 x 7 angles, both triangles.
+    for nx in (5, 17, 33, 65):
+        for seed in (0, 7):
+            grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
+                                    seed=seed))
+            for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
+                check_triangle_solvers(jacobian_low_order(grid, theta))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_depth_walk_keeps_every_triangle_solver_with_cycles(seed):
+    check_triangle_solvers(jacobian_low_order(jittered_quads(seed), 30.0))
+
+
+@pytest.mark.parametrize("kind", ["tri_regular", "tri_irregular"])
+def test_deep_downwind_triangle_needs_no_level_rounds(kind, monkeypatch):
+    # The downwind lower triangle is hundreds of levels deep; the walk
+    # proves it deeper than MAX_LEVELS, so _levels never runs on it.
+    from scipy.sparse.linalg import SuperLU
+
+    grid = generate(GenSpec(kind=kind, nx=65, ny=65, perturb=0.3, seed=42))
+    lower = downwind(jacobian_low_order(grid, 30.0))[1][0]
+
+    def rounds(strict):
+        raise AssertionError("_levels ran on a triangle the walk proves deep")
+
+    monkeypatch.setattr(solver, "_levels", rounds)
+    assert isinstance(solver._triangle_solver(lower), SuperLU)
 
 
 def substitute(tri, r, lower):
@@ -552,14 +662,16 @@ def test_triangle_factor_ignores_panel_size(monkeypatch):
                                         ("quad", "face"),
                                         ("tri_irregular", "face")])
 def test_operator_build_memory(kind, mode):
-    # Each operator owns arrays of exactly its nnz entries, and the build's
-    # peak stays within 1.75 times what it keeps. The COO builds it replaced
-    # kept 2.4 MiB of buffers sized for the unsummed entries and peaked at
-    # 2.04 and 1.86 times the operators.
-    def buffer_nbytes(a):
+    # Each operator's data and indices hold exactly its nnz entries, the
+    # operators share their index arrays wherever their patterns agree, and
+    # the build's peak stays within 1.75 times what it keeps, each shared
+    # buffer counted once. The COO builds it replaced kept 2.4 MiB of
+    # buffers sized for the unsummed entries and peaked at 2.04 and 1.86
+    # times the operators.
+    def buffer(a):
         while isinstance(a.base, np.ndarray):
             a = a.base
-        return a.nbytes
+        return a
 
     solver._Advection(generate(GenSpec(kind=kind, nx=5, ny=5)), 30.0, 0, mode)
     grid = generate(GenSpec(kind=kind, nx=129, ny=129, perturb=0.3, seed=42))
@@ -569,13 +681,48 @@ def test_operator_build_memory(kind, mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = op.b.nbytes
+    kept = {id(a): a for a in (op.b, op._nonzero)}
     for m in (op.jac, op.kx, op.ky, op.gx_op, op.gy_op):
         for a in (m.data, m.indices):
             assert len(a) == m.nnz
-            assert buffer_nbytes(a) == a.nbytes
-        kept += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-    assert peak <= 1.75 * kept
+            assert buffer(a).nbytes == a.nbytes
+        kept.update((id(buffer(a)), buffer(a))
+                    for a in (m.data, m.indices, m.indptr))
+    assert peak <= 1.75 * sum(a.nbytes for a in kept.values())
+    assert shares(op.kx, op.ky)
+    if mode == "vertex":
+        assert shares(op.gx_op, op.gy_op)
+    op.share_pattern()
+    assert shares(op.jac, op.kx)
+
+
+def shares(a, b):
+    """Whether CSR matrices a and b share their index arrays."""
+    return (np.shares_memory(a.indptr, b.indptr)
+            and np.shares_memory(a.indices, b.indices))
+
+
+def test_face_gradients_keep_j_pattern():
+    # On the jittered quads no face stencil is degenerate and no coefficient
+    # is zero, so Gx and Gy drop nothing and keep J's pattern. (On the
+    # generated grids the corner cells' one-neighbor stencils are
+    # degenerate, so face-stencil Gx and Gy drop their rows.)
+    op = solver._Advection(jittered_quads(1), 30.0, 0, "face")
+    for g in (op.gx_op, op.gy_op):
+        assert shares(g, op.jac)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_face_gradients_from_the_shared_pattern(kind, p):
+    # _Advection hands its face adjacency and J's pattern to the gradient
+    # build, which gives the operators that a build of its own gives.
+    grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
+    op = solver._Advection(grid, 30.0, p, "face")
+    degenerate, *want = solver._gradient_operators(grid, p, "face")
+    assert np.array_equal(op.degenerate, degenerate)
+    for got, m in zip((op.gx_op, op.gy_op), want):
+        assert_same_bytes(got, m)
 
 
 def per_face_residual(grid, u, theta, p, mode, first_order):
