@@ -160,8 +160,12 @@ def parse_grid(source):
     """
     # A seekable stream is read again on the error path rather than held,
     # so that the file's bytes are gone while Grid derives the geometry.
-    seekable = getattr(source, "seekable", None)
-    start = source.tell() if seekable is not None and seekable() else None
+    start = None
+    if getattr(source, "seekable", lambda: False)():
+        try:
+            start = source.tell()
+        except OSError:  # a text file that next() has advanced
+            pass
     data = _read(source)
     if isinstance(data, bytes):
         parsed = _parse_bulk(data, "")

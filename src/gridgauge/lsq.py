@@ -172,13 +172,13 @@ def _systems(grid, p, indptr, indices):
     """The LSQ systems of the cells with stencils (indptr, indices), in
     blocks of whole rows within ENTRIES neighbors, or one row wider than
     that: (rows, row, dx, dy, d, w2, fro2, bad, cx, cy), the block's cells,
-    each entry's row in the block, offset, distance and squared weight,
-    each cell's squared norm of the normal matrix and degenerate flag, and
-    the coefficients, zero where degenerate. All follow the scalar
-    :func:`gridgauge.oracle.build_system` operation for operation, and a
-    cell is degenerate where it or ``build_stencil`` would raise. A block
-    is dropped here once yielded, so a consumer that drops it too holds one
-    block at a time."""
+    each entry's row in the block, offset, distance and squared weight
+    (1.0 for p = 0), each cell's squared norm of the normal matrix and
+    degenerate flag, and the coefficients, zero where degenerate. All
+    follow the scalar :func:`gridgauge.oracle.build_system` operation for
+    operation, and a cell is degenerate where it or ``build_stencil`` would
+    raise. A block is dropped here once yielded, so a consumer that drops
+    it too holds one block at a time."""
     if p not in (0, 1):
         raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
     xc, yc = grid.centroids.T
@@ -192,8 +192,11 @@ def _systems(grid, p, indptr, indices):
         row = np.repeat(np.arange(len(length)), length)
 
         def rowsum(v):
-            """Per-cell sums of per-neighbor values v, in order from +0.0."""
-            return np.bincount(row, weights=v, minlength=len(length))
+            """Per-cell sums of per-neighbor values v, in order from +0.0
+            (as floats also where the block has no entries, for which
+            bincount gives integers)."""
+            return np.bincount(row, weights=v, minlength=len(length)
+                               ).astype(float, copy=False)
 
         nb = indices[indptr[rows.start]:indptr[rows.stop]]
         dx, dy = xc[nb] - xc[lo + row], yc[nb] - yc[lo + row]
@@ -202,8 +205,12 @@ def _systems(grid, p, indptr, indices):
         # Degenerate cells divide by zero here, and huge offsets overflow;
         # their results are masked.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w2 = np.ones_like(d) if p == 0 else (1.0 / d) * (1.0 / d)
-            bx, by = w2 * dx, w2 * dy
+            if p == 0:
+                # Weight 1.0: 1.0 * v is v, so no weighted copies are made.
+                w2, bx, by = 1.0, dx, dy
+            else:
+                w2 = (1.0 / d) * (1.0 / d)
+                bx, by = w2 * dx, w2 * dy
             m11, m12, m22 = (rowsum(v) for v in (bx * dx, bx * dy, by * dy))
             det = m11 * m22 - m12 * m12
             fro2 = m11 * m11 + 2.0 * m12 * m12 + m22 * m22
@@ -211,14 +218,28 @@ def _systems(grid, p, indptr, indices):
             bad = ((length < 2) | (too_close > 0)
                    | ~(det > SINGULARITY_EPS * fro2)
                    | (det < sys.float_info.min))
-            cx = np.where(bad[row], 0.0,
-                          (m22[row] * bx - m12[row] * by) / det[row])
-            cy = np.where(bad[row], 0.0,
-                          (m11[row] * by - m12[row] * bx) / det[row])
-            del bx, by
+            flag = bad[row]
+            cx = _coefficients(m22, m12, bx, by, det, row, flag)
+            cy = _coefficients(m11, m12, by, bx, det, row, flag)
+            del bx, by, flag
         yield rows, row, dx, dy, d, w2, fro2, bad, cx, cy
         del row, dx, dy, d, w2, cx, cy
         lo = rows.stop
+
+
+def _coefficients(a, b, u, v, det, row, bad):
+    """(a[row] * u - b[row] * v) / det[row], zero where bad: the operations
+    of that expression, each rounded as it is, with two temporaries instead
+    of four."""
+    c = a[row]
+    c *= u
+    t = b[row]
+    t *= v
+    c -= t
+    np.take(det, row, out=t)
+    c /= t
+    c[bad] = 0.0
+    return c
 
 
 def lsq_table(grid, p=0, stencil_mode="face"):

@@ -166,37 +166,37 @@ class _Advection:
         import scipy.sparse as sp
 
         n = grid.n_cells
-        ptr, stencil = _adjacency(grid, "face")
-        # int32 halves its memory, with room left for _systems to add to it.
-        if len(stencil) < 2**30:
-            ptr = ptr.astype(np.int32)
-        face = ptr, stencil
-        pattern = _with_diagonal(*face)
-        del ptr, stencil
-        self.jac, self.kx, self.ky, self._nonzero = _face_operators(
-            grid, theta, pattern)
-        shared = (face, pattern[:2]) if stencil_mode == "face" else ()
-        del face, pattern
+        pattern = _with_diagonal(*_adjacency(grid, "face"))
+        self.jac, self.kx, self.ky = _face_operators(grid, theta, pattern)
+        if stencil_mode != "face":
+            pattern = None
         if first_order:
             self.degenerate = np.zeros(n, dtype=bool)
             self.gx_op = self.gy_op = sp.csr_matrix((n, n))  # zero gradients
         else:
             self.degenerate, self.gx_op, self.gy_op = _gradient_operators(
-                grid, p, stencil_mode, *shared)
-        del shared
+                grid, p, stencil_mode, pattern)
+        del pattern
         self.b = _source_vector(grid, theta, source, inflow)
 
     def share_pattern(self):
         """Move J onto the pattern of Kx and Ky, without the stored zeros
         that only SuperLU's bits rest on. A CSR matvec adds each row from
         +0.0, so its sums never turn -0.0, and on finite vectors the zero
-        products it drops add nothing."""
+        products it drops add nothing.
+
+        That pattern is J's nonzero entries: the terms of each entry of J
+        share one sign (outflow weights on the diagonal, inflow weights off
+        it), so an entry is zero only where all its weights are, and then
+        Kx's and Ky's, each weight times a finite offset, are zero too.
+        Were it not so, J's data would not fit Kx's indices and SciPy would
+        refuse the matrix."""
         import scipy.sparse as sp
 
+        jac = self.jac
         self.jac = sp.csr_matrix(
-            (self.jac.data[self._nonzero], self.kx.indices, self.kx.indptr),
-            shape=self.jac.shape)
-        del self._nonzero
+            (jac.data[jac.data != 0], self.kx.indices, self.kx.indptr),
+            shape=jac.shape)
 
     def residual(self, u):
         return (self.jac @ u + self.kx @ (self.gx_op @ u)
@@ -220,8 +220,7 @@ def _upwind(fa, theta, faces=slice(None)):
 
 def _face_operators(grid, theta, pattern):
     """J, Kx and Ky of _Advection, with J on the face pattern (indptr,
-    indices, diag) of _with_diagonal, and the mask of J's entries that Kx
-    and Ky keep."""
+    indices, diag) of _with_diagonal."""
     import scipy.sparse as sp
 
     n = grid.n_cells
@@ -259,7 +258,7 @@ def _face_operators(grid, theta, pattern):
     ptr, ind = _kept(indptr, indices, nonzero)
     kx, ky = (sp.csr_matrix((k[nonzero], ind, ptr), shape=(n, n))
               for k in (kx, ky))
-    return sp.csr_matrix((jac, indices, indptr), shape=(n, n)), kx, ky, nonzero
+    return sp.csr_matrix((jac, indices, indptr), shape=(n, n)), kx, ky
 
 
 def _source_vector(grid, theta, source, inflow):
@@ -281,14 +280,17 @@ def _with_diagonal(indptr, indices):
     (indptr, indices), of one dtype so that SciPy takes them as they are,
     and the positions of the diagonal in them."""
     n = len(indptr) - 1
-    row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    at = indptr[:-1] + np.bincount(row[indices < row], minlength=n)
-    del row
+    # Half the memory of np.intp; the one index dtype of the pattern and of
+    # every slot array built from it.
     index = np.int32 if len(indices) + n < 2**31 else np.intp
+    row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    at = (indptr[:-1] + np.bincount(row[indices < row], minlength=n)
+          ).astype(index)
+    del row
     cells = np.arange(n, dtype=index)
-    return ((indptr + np.arange(n + 1)).astype(index),
-            np.insert(indices.astype(index, copy=False), at, cells),
-            at + cells)
+    indices = np.insert(indices.astype(index, copy=False), at, cells)
+    at += cells
+    return (indptr + np.arange(n + 1)).astype(index), indices, at
 
 
 def _kept(indptr, indices, keep):
@@ -310,35 +312,39 @@ def _face_slots(grid, indptr, indices, diag):
     n = grid.n_cells
     key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
     key += indices
-    # Half the memory of np.intp; slots index entries, up to len(indices).
-    slot_type = np.int32 if len(indices) < 2**31 else np.intp
     slots = (diag[o], np.searchsorted(key, o * n + m), diag[m],
              np.searchsorted(key, m * n + o), diag[ob])
-    return [s.astype(slot_type) for s in slots]
+    return [s.astype(indptr.dtype, copy=False) for s in slots]
 
 
-def _gradient_operators(grid, p, stencil_mode, adjacency=None, pattern=None):
+def _gradient_operators(grid, p, stencil_mode, pattern=None):
     """The degenerate flags of the LSQ stencils, and Gx and Gy: each row holds
     the cell's coefficients and, on the diagonal, 0.0 less their sum, so
     that grad = (Gx u, Gy u). Each block of :func:`gridgauge.lsq._systems`
     is written into place and dropped; its row sums are ``np.bincount``
     sums, from +0.0 in column order. Zeros are dropped, so degenerate rows
     are empty; an operator that drops none takes the pattern as it is, so
-    Gx and Gy share it. ``adjacency`` and ``pattern``, the stencils'
-    ``_adjacency`` and its ``_with_diagonal`` (indptr, indices), are built
-    here unless given."""
+    Gx and Gy share it. ``pattern`` is the ``_with_diagonal`` (indptr,
+    indices, diag) of the stencils' ``_adjacency``; given, the stencils are
+    read off it, else both are built here."""
     import scipy.sparse as sp
 
     n = grid.n_cells
-    ptr, stencil = adjacency or _adjacency(grid, stencil_mode)
+    if pattern is None:
+        ptr, stencil = _adjacency(grid, stencil_mode)
+    else:
+        ptr = pattern[0] - np.arange(n + 1)
+        stencil = np.delete(pattern[1], pattern[2])
     degenerate = np.empty(n, dtype=bool)
     data = [np.empty(len(stencil) + n), np.empty(len(stencil) + n)]
     for rows, row, *_, bad, cx, cy in _systems(grid, p, ptr, stencil):
         # Row j starts at slot ptr[j] + j, and its diagonal follows its
         # neighbors below j.
-        cell = rows.start + row
-        above = stencil[ptr[rows.start]:ptr[rows.stop]] > cell
-        at = np.arange(ptr[rows.start], ptr[rows.stop]) + cell + above
+        lo, hi = ptr[rows.start], ptr[rows.stop]
+        above = stencil[lo:hi] > rows.start + row
+        at = np.arange(lo + rows.start, hi + rows.start)
+        at += row
+        at += above
         diag = (ptr[rows] + np.arange(rows.start, rows.stop)
                 + np.bincount(row[~above], minlength=len(bad)))
         for out, c in zip(data, (cx, cy)):
@@ -346,9 +352,9 @@ def _gradient_operators(grid, p, stencil_mode, adjacency=None, pattern=None):
             out[diag] = 0.0 - np.bincount(row, c, minlength=len(bad))
         degenerate[rows] = bad
         # Each block is dropped before the next is built.
-        del row, _, cx, cy, c, cell, above, at
-    indptr, indices = pattern or _with_diagonal(ptr, stencil)[:2]
-    del ptr, stencil, adjacency, pattern
+        del row, _, cx, cy, c, above, at
+    indptr, indices = (pattern or _with_diagonal(ptr, stencil))[:2]
+    del ptr, stencil, pattern
 
     def gradient(data):
         keep = data != 0
@@ -490,35 +496,15 @@ def _downwind_order(jac):
 
 def _sweep_triangles(jac, inv):
     """The lower and upper triangles of P J P^T (CSC, with J's stored
-    zeros), where P moves cell i to position inv[i]: J's rows gathered into
-    downwind order, each with its entries in J's stored order and its
-    columns remapped, then split at the diagonal. SciPy's CSR-to-CSC
-    conversion lists each column's rows in ascending order, so each
-    triangle is byte for byte that of a COO build."""
+    zeros), where P moves cell i to position inv[i]."""
     import scipy.sparse as sp
 
     n = jac.shape[0]
-    perm = np.empty_like(inv)
-    perm[inv] = np.arange(n)
-    length = np.diff(jac.indptr)[perm]
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(length, out=start[1:])
-    # Entry e of row k is entry e - start[k] of J's row perm[k].
-    take = np.repeat(jac.indptr[perm] - start[:-1], length)
-    take += np.arange(len(take))
-    data = jac.data[take]
-    # take() indexes by a 32-bit array faster than [] does.
-    col = inv.astype(jac.indices.dtype).take(jac.indices.take(take))
-    del take
-    row = np.repeat(np.arange(n, dtype=col.dtype), length)
-    triangles = []
-    for part in (col <= row, col >= row):
-        at = np.flatnonzero(part)
-        indptr = np.zeros(n + 1, dtype=col.dtype)
-        np.cumsum(np.bincount(row[at], minlength=n), out=indptr[1:])
-        triangles.append(sp.csr_matrix((data[at], col[at], indptr),
-                                       shape=(n, n)).tocsc())
-    return triangles
+    inv = inv.astype(jac.indices.dtype)
+    row = np.repeat(inv, np.diff(jac.indptr))
+    col = inv[jac.indices]
+    return [sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
+            for k in (col <= row, col >= row)]
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
