@@ -31,21 +31,13 @@ only a cycle's entries lie above it. So the upper triangle is the diagonal
 outside the cycles, and the lower one holds the upwind neighbors and is
 deep: hundreds of levels at theta = 30 on 129^2 triangle grids.
 
-A triangle at most MAX_LEVELS deep is solved level by level in NumPy
-(level scheduling, Anderson & Saad, Int. J. High Speed Computing 1(1),
-1989), x = r / D and then, level after level,
-x[rows] = (r[rows] - S[rows] @ x) / D[rows], with D the diagonal and S the
-zero-free strict part; each row is summed from +0.0 in ascending column
-order, which rests on IEEE arithmetic alone. A deeper triangle goes to
+A triangle whose strict part holds no nonzero value, as the upper one of an
+acyclic graph, is solved as r / D, with D its diagonal. Any other goes to
 SuperLU, factored once with J's stored zeros, whose bits it depends on, and
 with panel_size=1: a triangle factors without updates, having nothing below
 its diagonal to eliminate, so the panel width sizes only SuperLU's work
 arrays, which are allocated in C and grow with it, and cannot change a bit
-of the factors. A short walk settles most deep triangles before any level
-is counted: MAX_LEVELS + 1 steps along strict nonzero entries from one of
-a few end columns prove a row deeper than the cap, so the triangle goes
-straight to SuperLU. Only where no walk gets that far do the level rounds
-run, and they decide as they would alone.
+of the factors.
 
 The face adjacency and J's CSR pattern are built once, for J, Kx and Ky and
 for face-stencil Gx and Gy. J keeps that pattern, stored zeros included,
@@ -74,19 +66,6 @@ from .lsq import _adjacency, _systems, check_stencils
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
-# The deepest sweep triangle solved level by level; a deeper one goes to
-# SuperLU. In downwind order the upper triangle is the diagonal, or a few
-# levels inside cycles, and the lower one is far deeper than this, hundreds
-# of levels: a walk of MAX_LEVELS + 1 steps (_too_deep) proves that in about
-# 0.02 ms, where counting the levels copies the triangle and runs all
-# MAX_LEVELS + 1 rounds over every entry (0.2-9 ms from 17^2 to 129^2). The
-# cap was set when the sweeps ran in file order, with both triangles shallow
-# or deep. Per triangular solve (2-core x86-64, best of 5; BENCH_19.json),
-# SuperLU -> levels: 129^2 nodes depth 3 479 -> 87 us, depth 14 776 -> 359;
-# 65^2 depth 12 119 -> 96; 33^2 depth 3 45 -> 18, depth 12 29 -> 66; 17^2
-# depth 2 9 -> 10, depth 9 9 -> 42. A level costs about 5 us up to 33^2 and
-# 20 us at 129^2, so 8 levels win from 65^2 up and lose some 30 us below.
-MAX_LEVELS = 8
 
 
 def exact_solution(x, y):
@@ -386,91 +365,17 @@ def jacobian_low_order(grid, theta):
     return _Advection(grid, theta, first_order=True).jac
 
 
-class _LevelSolve:
-    """The level-by-level solve of a triangle D + S (module docstring), with
-    (rows, S[rows], D[rows]) per level from 1 up. S[rows] @ x is SciPy's CSR
-    matvec, which sums each row from +0.0 in ascending column order."""
-
-    def __init__(self, diag, strict, level):
-        self.diag = diag
-        self.parts = []
-        for k in range(1, int(level.max(initial=0)) + 1):
-            rows = np.flatnonzero(level == k)
-            self.parts.append((rows, strict[rows], diag[rows]))
-
-    def solve(self, r):
-        x = r / self.diag
-        for rows, part, diag in self.parts:
-            x[rows] = (r[rows] - part @ x) / diag
-        return x
-
-
-def _levels(strict):
-    """The level of each row of a zero-free strict triangle (CSR): 0 for a
-    row without entries, else one more than the deepest level it reads.
-    None when some row is deeper than MAX_LEVELS.
-
-    After k rounds of level = 1 + max(level[cols]) from all zeros, each
-    row holds min(its level, k), so a round that changes nothing ends it.
-    """
-    n = strict.shape[0]
-    level = np.zeros(n, dtype=np.intp)
-    if strict.nnz == 0:
-        return level
-    nonempty = np.flatnonzero(np.diff(strict.indptr))
-    starts = strict.indptr[nonempty]
-    for _ in range(MAX_LEVELS + 1):
-        deeper = np.zeros(n, dtype=np.intp)
-        deeper[nonempty] = np.maximum.reduceat(level[strict.indices] + 1,
-                                               starts)
-        if np.array_equal(deeper, level):
-            return level
-        level = deeper
-    return None
-
-
-def _too_deep(tri):
-    """Whether a walk along the strict nonzero entries of the triangle
-    ``tri`` (CSC) proves some row deeper than MAX_LEVELS. From each of its
-    first and last three columns it steps MAX_LEVELS + 1 times from column
-    j to the last row that reads j; a row that reads a row of level k has
-    level k + 1 or more, so a walk that makes every step ends deeper than
-    MAX_LEVELS. A walk that stops short proves nothing."""
-    n = tri.shape[0]
-    ptr, rows, data = tri.indptr, tri.indices, tri.data
-    for j in (*range(min(n, 3)), *range(max(n - 3, 0), n)):
-        for _ in range(MAX_LEVELS + 1):
-            lo, hi = ptr[j], ptr[j + 1]
-            readers = [i for i, v in zip(rows[lo:hi].tolist(),
-                                         data[lo:hi].tolist())
-                       if v != 0 and i != j]
-            if not readers:
-                break
-            j = readers[-1]
-        else:
-            return True
-    return False
-
-
 def _triangle_solver(tri):
-    """A solver of one sweep triangle of P J P^T, given in CSC with J's
-    stored zeros: a _LevelSolve when its strict part is at most MAX_LEVELS
-    levels deep, else SuperLU's factor of ``tri`` as given. Both have
-    solve(r). _levels counts the levels only where _too_deep's walk does
-    not already prove the triangle too deep."""
+    """The solve of one sweep triangle of P J P^T, given in CSC with J's
+    stored zeros: x = r / D where its strict part holds no nonzero value,
+    else SuperLU's, with the triangle factored as given."""
     import scipy.sparse.linalg as spla
 
-    if not _too_deep(tri):
-        strict = tri.tocsr()
-        strict.setdiag(0.0)
-        strict.eliminate_zeros()
-        strict.sort_indices()
-        level = _levels(strict)
-        if level is not None:
-            return _LevelSolve(tri.diagonal(), strict, level)
-        del strict  # before SuperLU allocates its factors
+    diag = tri.diagonal()
+    if np.count_nonzero(tri.data) == np.count_nonzero(diag):
+        return lambda r: r / diag
     return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     panel_size=1)
+                     panel_size=1).solve
 
 
 def _downwind_order(jac):
@@ -480,13 +385,12 @@ def _downwind_order(jac):
     component's cells in ascending index order. SciPy labels the components
     in the order its depth-first search completes them (Pearce, 2005), so a
     cell's upwind neighbors outside its component carry smaller labels; the
-    tests pin that. The graph is J's zero-free pattern: SciPy would take J's
-    stored zeros, the downwind side of each face, for edges."""
+    tests pin that. J must hold no stored zero, as after
+    _Advection.share_pattern: SciPy would take J's stored zeros, the
+    downwind side of each face, for edges."""
     from scipy.sparse.csgraph import connected_components
 
-    graph = jac.copy()  # eliminate_zeros works in place
-    graph.eliminate_zeros()
-    labels = connected_components(graph, directed=True,
+    labels = connected_components(jac, directed=True,
                                   connection="strong")[1]
     perm = np.argsort(labels, kind="stable")
     inv = np.empty_like(perm)
@@ -555,9 +459,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         delta = np.zeros(n)
         r[:] = b
         for _ in range(spec.max_sweeps):
-            delta += lower.solve(r[perm])[inv]
+            delta += lower(r[perm])[inv]
             np.subtract(b, jac @ delta, out=r)
-            delta += upper.solve(r[perm])[inv]
+            delta += upper(r[perm])[inv]
             np.subtract(b, jac @ delta, out=r)
             work += 0.5
             if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:

@@ -156,7 +156,7 @@ def test_jacobian_diagonal_nonnegative_and_dominant(theta):
         jac = jacobian_low_order(grid, theta).toarray()
         diag = np.diag(jac)
         # A cell of positive area has a face with a.n > 0, so its outflow
-        # is positive: the level solves divide by this diagonal.
+        # is positive: the sweeps divide by this diagonal.
         assert (diag > 0.0).all()
         off = jac - np.diag(diag)
         assert (off <= 1e-14).all()  # off-diagonals are inflow terms, never positive
@@ -327,8 +327,8 @@ def test_solve_counts(tmp_path, capsys, kind, mode, p, theta):
 
 def test_solve_digest_with_the_downwind_triangle_in_superlu(tmp_path, capsys):
     # Quad 17x17 at theta 120: in downwind order the lower triangle holds
-    # every upwind neighbor and is 30 levels deep, so it goes to SuperLU; the
-    # upper triangle is the diagonal.
+    # every upwind neighbor, so it goes to SuperLU; the upper triangle is
+    # the diagonal.
     grid, history = tmp_path / "g.txt", tmp_path / "history.csv"
     save_grid(generate(GenSpec(kind="quad", nx=17, ny=17)), grid)
     code = main(["solve", str(grid), "--theta", "120", "-o", str(history)])
@@ -339,10 +339,18 @@ def test_solve_digest_with_the_downwind_triangle_in_superlu(tmp_path, capsys):
                                   "a2c75bbc594362350438f79eeeba5522")
 
 
+def zero_free(jac):
+    """J without its stored zeros: its upwind graph."""
+    graph = jac.copy()
+    graph.eliminate_zeros()
+    return graph
+
+
 def downwind(jac):
     """The solver's downwind order of J's cells and the triangles of
-    P J P^T that its sweeps solve."""
-    perm, inv = solver._downwind_order(jac)
+    P J P^T that its sweeps solve, as the solve takes them: the order from
+    the zero-free J, the triangles from J with its stored zeros."""
+    perm, inv = solver._downwind_order(zero_free(jac))
     return perm, solver._sweep_triangles(jac, inv)
 
 
@@ -351,9 +359,8 @@ def strong_components(jac):
     the zero-free pattern of J."""
     from scipy.sparse.csgraph import connected_components
 
-    graph = jac.copy()
-    graph.eliminate_zeros()
-    return connected_components(graph, directed=True, connection="strong")[1]
+    return connected_components(zero_free(jac), directed=True,
+                                connection="strong")[1]
 
 
 @pytest.mark.parametrize("kind, mode, iterations, work", [
@@ -411,12 +418,16 @@ def jittered_quads(seed):
     return replace_nodes(quad, jitter.nodes)
 
 
+# Iterations and work units of the jittered quads at theta 30.
+CYCLIC_COUNTS = {1: (56, 85.0), 2: (52, 79.0), 3: (53, 80.5)}
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_downwind_solve_with_cyclic_upwind_graph(seed):
     # The jittered quads include non-convex cells, and at theta 30 their
     # upwind graph has cycles: 14 to 20 strong components of 2 cells or more
-    # per grid. Only entries inside a component lie above the diagonal, and
-    # the solve converges.
+    # per grid. Only entries inside a component lie above the diagonal, so
+    # the upper triangle goes to SuperLU, and the solve converges.
     import scipy.sparse as sp
 
     grid = jittered_quads(seed)
@@ -429,7 +440,9 @@ def test_downwind_solve_with_cyclic_upwind_graph(seed):
     assert nonzero.any()
     assert np.array_equal(label[perm[above.row[nonzero]]],
                           label[perm[above.col[nonzero]]])
-    assert defect_correction_solve(grid, ProblemSpec()).converged
+    report = defect_correction_solve(grid, ProblemSpec())
+    assert report.converged
+    assert (report.iterations_to_tol, report.work_units) == CYCLIC_COUNTS[seed]
 
 
 def coo_triangles(jac, inv):
@@ -459,7 +472,7 @@ def test_sweep_triangles_match_a_coo_build(kind, nx):
     grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3, seed=42))
     for theta in (0.0, 30.0, 120.0, 210.0):
         jac = jacobian_low_order(grid, theta)
-        inv = solver._downwind_order(jac)[1]
+        inv = solver._downwind_order(zero_free(jac))[1]
         for got, want in zip(solver._sweep_triangles(jac, inv),
                              coo_triangles(jac, inv)):
             assert_same_bytes(got, want)
@@ -468,73 +481,51 @@ def test_sweep_triangles_match_a_coo_build(kind, nx):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sweep_triangles_match_a_coo_build_with_cycles(seed):
     jac = jacobian_low_order(jittered_quads(seed), 30.0)
-    inv = solver._downwind_order(jac)[1]
+    inv = solver._downwind_order(zero_free(jac))[1]
     for got, want in zip(solver._sweep_triangles(jac, inv),
                          coo_triangles(jac, inv)):
         assert_same_bytes(got, want)
 
 
-def check_triangle_solvers(jac):
-    """Each triangle of J, in downwind and in file order, gets the solver
-    that _levels alone gives it: SuperLU past MAX_LEVELS, else a _LevelSolve
-    with the same parts."""
+def is_superlu(solve):
+    """Whether a sweep triangle's solve is SuperLU's."""
+    from scipy.sparse.linalg import SuperLU
+
+    return isinstance(getattr(solve, "__self__", None), SuperLU)
+
+
+def triangles(jac):
+    """J's sweep triangles in downwind order, then in file order, each with
+    whether it is the lower one."""
     import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
 
-    for tri in (*downwind(jac)[1], sp.tril(jac, format="csc"),
-                sp.triu(jac, format="csc")):
-        strict = tri.tocsr()
-        strict.setdiag(0.0)
-        strict.eliminate_zeros()
-        strict.sort_indices()
-        level = solver._levels(strict)
-        got = solver._triangle_solver(tri)
-        if level is None:
-            assert isinstance(got, SuperLU)
-            continue
-        want = solver._LevelSolve(tri.diagonal(), strict, level)
-        assert isinstance(got, solver._LevelSolve)
-        assert got.diag.tobytes() == want.diag.tobytes()
-        assert len(got.parts) == len(want.parts)
-        for (rows, part, diag), (want_rows, want_part, want_diag) in zip(
-                got.parts, want.parts):
-            assert np.array_equal(rows, want_rows)
-            assert_same_bytes(part, want_part)
-            assert diag.tobytes() == want_diag.tobytes()
+    return zip((*downwind(jac)[1], sp.tril(jac, format="csc"),
+                sp.triu(jac, format="csc")), (True, False, True, False))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_depth_walk_keeps_every_triangle_solver(kind):
-    # _triangle_solver skips _levels only where a walk proves the triangle
-    # deeper than MAX_LEVELS, so every triangle keeps its solver: 4 kinds x
-    # 5^2, 17^2, 33^2 and 65^2 x seeds 0 and 7 x 7 angles, both triangles.
-    for nx in (5, 17, 33, 65):
-        for seed in (0, 7):
-            grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
-                                    seed=seed))
-            for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
-                check_triangle_solvers(jacobian_low_order(grid, theta))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_depth_walk_keeps_every_triangle_solver_with_cycles(seed):
-    check_triangle_solvers(jacobian_low_order(jittered_quads(seed), 30.0))
-
-
-@pytest.mark.parametrize("kind", ["tri_regular", "tri_irregular"])
-def test_deep_downwind_triangle_needs_no_level_rounds(kind, monkeypatch):
-    # The downwind lower triangle is hundreds of levels deep; the walk
-    # proves it deeper than MAX_LEVELS, so _levels never runs on it.
-    from scipy.sparse.linalg import SuperLU
-
-    grid = generate(GenSpec(kind=kind, nx=65, ny=65, perturb=0.3, seed=42))
-    lower = downwind(jacobian_low_order(grid, 30.0))[1][0]
-
-    def rounds(strict):
-        raise AssertionError("_levels ran on a triangle the walk proves deep")
-
-    monkeypatch.setattr(solver, "_levels", rounds)
-    assert isinstance(solver._triangle_solver(lower), SuperLU)
+@pytest.mark.parametrize("kind", [*KINDS, "cycles"])
+def test_triangle_solver_divides_exactly_where_diagonal(kind):
+    # A triangle whose strict part holds no nonzero value is solved as
+    # r / D; any other goes to SuperLU. 4 kinds x 5^2, 17^2, 33^2 and 65^2
+    # x seeds 0 and 7 x 7 angles, downwind and file-order triangles, and
+    # the jittered quads, whose cycles put nonzeros above the diagonal.
+    if kind == "cycles":
+        jacs = [jacobian_low_order(jittered_quads(seed), 30.0)
+                for seed in (1, 2, 3)]
+    else:
+        jacs = (jacobian_low_order(
+            generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
+                             seed=seed)), theta)
+                for nx in (5, 17, 33, 65) for seed in (0, 7)
+                for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0))
+    divided = 0
+    for jac in jacs:
+        for tri, _ in triangles(jac):
+            coo = tri.tocoo()
+            diagonal = not coo.data[coo.row != coo.col].any()
+            assert is_superlu(solver._triangle_solver(tri)) != diagonal
+            divided += diagonal
+    assert divided > 0 if kind != "cycles" else divided == 0
 
 
 def substitute(tri, r, lower):
@@ -562,69 +553,58 @@ def substitute(tri, r, lower):
 @pytest.mark.parametrize("theta", [0.0, 30.0, 120.0, 210.0, 300.0])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_solve_matches_substitution(kind, theta):
-    import scipy.sparse as sp
-
+    # The division is the substitution bit for bit; SuperLU matches it to
+    # roundoff, relative to each entry or, where an entry's sum cancels, to
+    # the largest.
     grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
     jac = jacobian_low_order(grid, theta)
     r = np.random.default_rng(4).uniform(-1.0, 1.0, grid.n_cells)
-    for side, lower in ((sp.tril, True), (sp.triu, False)):
-        tri = side(jac, format="csc")
+    for tri, lower in triangles(jac):
         want, depth = substitute(tri, r, lower)
-        got = solver._triangle_solver(tri)
-        assert isinstance(got, solver._LevelSolve) == \
-            (depth <= solver.MAX_LEVELS)
-        if depth <= solver.MAX_LEVELS:
-            assert len(got.parts) == depth
-            assert got.solve(r).tobytes() == want.tobytes()
+        solve = solver._triangle_solver(tri)
+        assert is_superlu(solve) == (depth > 0)
+        if depth == 0:
+            assert solve(r).tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(solve(r), want, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want).max())
 
 
-def test_deep_triangle_goes_to_superlu(monkeypatch):
+def test_deep_triangle_goes_to_superlu():
     import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
 
     # With a = (cos 120, sin 120) a quad cell reads its east and its south
     # neighbor, so on 33x33 nodes each triangle is a chain 31 levels deep.
     jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=33, ny=33)),
                              120.0)
     for side in (sp.tril, sp.triu):
-        strict = side(jac, format="csr")
-        strict.setdiag(0.0)
-        strict.eliminate_zeros()
-        assert solver.MAX_LEVELS < 31
-        assert solver._levels(strict) is None
-        assert isinstance(solver._triangle_solver(side(jac, format="csc")),
-                          SuperLU)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "MAX_LEVELS", 31)
-            assert solver._levels(strict).max() == 31
-            m.setattr(solver, "MAX_LEVELS", 30)
-            assert solver._levels(strict) is None
+        assert is_superlu(solver._triangle_solver(side(jac, format="csc")))
 
 
 def test_superlu_solves_a_deep_upper_triangle():
     # Downwind sweeps give SuperLU deep lower triangles; its path for a deep
-    # upper triangle, which a cyclic upwind graph could give it, stays
-    # checked here. Quad 17x17 at theta 120 in file order: the upper
-    # triangle is 15 levels deep.
+    # upper triangle, which a cyclic upwind graph gives it, stays checked
+    # here. Quad 17x17 at theta 120 in file order: the upper triangle is 15
+    # levels deep.
     import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
 
     jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=17, ny=17)),
                              120.0)
     tri = sp.triu(jac, format="csc")
     r = np.random.default_rng(5).uniform(-1.0, 1.0, jac.shape[0])
     want, depth = substitute(tri, r, lower=False)
-    assert depth == 15 > solver.MAX_LEVELS
+    assert depth == 15
     got = solver._triangle_solver(tri)
-    assert isinstance(got, SuperLU)
-    np.testing.assert_allclose(got.solve(r), want, rtol=1e-13)
+    assert is_superlu(got)
+    np.testing.assert_allclose(got(r), want, rtol=1e-13)
 
 
-def test_triangle_factor_ignores_panel_size(monkeypatch):
+def test_triangle_factor_ignores_panel_size():
     # A triangle factors with nothing to eliminate, so SuperLU's panel width
     # only sizes its work arrays: the solver's factor, whatever its panel
     # width, equals the factor at SciPy's default width bit for bit, up to
-    # the order of U's entries within a column, and so do the solves.
+    # the order of U's entries within a column, and so do the solves, on
+    # every triangle that goes to SuperLU.
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -633,7 +613,6 @@ def test_triangle_factor_ignores_panel_size(monkeypatch):
                 and a.indices.tobytes() == b.indices.tobytes()
                 and a.data.tobytes() == b.data.tobytes())
 
-    monkeypatch.setattr(solver, "_levels", lambda strict: None)
     for kind in KINDS:
         for nx in (17, 33):
             for seed in (0, 7):
@@ -645,7 +624,10 @@ def test_triangle_factor_ignores_panel_size(monkeypatch):
                     jac = jacobian_low_order(grid, theta)
                     for side in (sp.tril, sp.triu):
                         tri = side(jac, format="csc")
-                        got = solver._triangle_solver(tri)
+                        solve = solver._triangle_solver(tri)
+                        if not is_superlu(solve):
+                            continue
+                        got = solve.__self__
                         want = spla.splu(tri, permc_spec="NATURAL",
                                          diag_pivot_thresh=0.0)
                         assert same(got.L, want.L)
