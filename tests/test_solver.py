@@ -503,29 +503,59 @@ def triangles(jac):
                 sp.triu(jac, format="csc")), (True, False, True, False))
 
 
-@pytest.mark.parametrize("kind", [*KINDS, "cycles"])
-def test_triangle_solver_divides_exactly_where_diagonal(kind):
-    # A triangle whose strict part holds no nonzero value is solved as
-    # r / D; any other goes to SuperLU. 4 kinds x 5^2, 17^2, 33^2 and 65^2
-    # x seeds 0 and 7 x 7 angles, downwind and file-order triangles, and
-    # the jittered quads, whose cycles put nonzeros above the diagonal.
-    if kind == "cycles":
-        jacs = [jacobian_low_order(jittered_quads(seed), 30.0)
-                for seed in (1, 2, 3)]
-    else:
-        jacs = (jacobian_low_order(
-            generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
-                             seed=seed)), theta)
-                for nx in (5, 17, 33, 65) for seed in (0, 7)
-                for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0))
+def check_triangle_solvers(jac):
+    """Each sweep triangle of J, in downwind and in file order, is divided
+    exactly when its strict part, read through COO, holds no nonzero value,
+    and goes to SuperLU otherwise. Returns how many were divided."""
     divided = 0
-    for jac in jacs:
-        for tri, _ in triangles(jac):
-            coo = tri.tocoo()
-            diagonal = not coo.data[coo.row != coo.col].any()
-            assert is_superlu(solver._triangle_solver(tri)) != diagonal
-            divided += diagonal
-    assert divided > 0 if kind != "cycles" else divided == 0
+    for tri, _ in triangles(jac):
+        coo = tri.tocoo()
+        diagonal = not coo.data[coo.row != coo.col].any()
+        assert is_superlu(solver._triangle_solver(tri)) != diagonal
+        divided += diagonal
+    return divided
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_depth_walk_keeps_every_triangle_solver(kind):
+    # No depth walk picks a triangle's solver: a triangle whose strict part
+    # holds no nonzero value is solved as r / D, and any other goes to
+    # SuperLU. 4 kinds x 5^2, 17^2, 33^2 and 65^2 x seeds 0 and 7 x 7
+    # angles, both triangles; in downwind order the upper one is divided.
+    divided = 0
+    for nx in (5, 17, 33, 65):
+        for seed in (0, 7):
+            grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
+                                    seed=seed))
+            for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
+                divided += check_triangle_solvers(
+                    jacobian_low_order(grid, theta))
+    assert divided > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_depth_walk_keeps_every_triangle_solver_with_cycles(seed):
+    # The jittered quads' cycles put nonzeros on both sides of the
+    # diagonal, so no triangle is divided.
+    jac = jacobian_low_order(jittered_quads(seed), 30.0)
+    assert check_triangle_solvers(jac) == 0
+
+
+@pytest.mark.parametrize("kind", ["tri_regular", "tri_irregular"])
+def test_deep_downwind_triangle_needs_no_level_rounds(kind):
+    # The downwind lower triangle is hundreds of levels deep; it goes to
+    # SuperLU in one factor, with no level rounds, and its solve matches a
+    # row-by-row triangular solve to roundoff.
+    from scipy.sparse.linalg import spsolve_triangular
+
+    grid = generate(GenSpec(kind=kind, nx=65, ny=65, perturb=0.3, seed=42))
+    lower = downwind(jacobian_low_order(grid, 30.0))[1][0]
+    solve = solver._triangle_solver(lower)
+    assert is_superlu(solve)
+    r = np.random.default_rng(6).uniform(-1.0, 1.0, lower.shape[0])
+    want = spsolve_triangular(lower.tocsr(), r, lower=True)
+    np.testing.assert_allclose(solve(r), want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
 
 
 def substitute(tri, r, lower):
