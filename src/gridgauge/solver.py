@@ -32,7 +32,8 @@ outside the cycles, and the lower one holds the upwind neighbors and is
 deep: hundreds of levels at theta = 30 on 129^2 triangle grids.
 
 A triangle whose strict part holds no nonzero value, as the upper one of an
-acyclic graph, is solved as r / D, with D its diagonal. Any other goes to
+acyclic graph, is solved as r / D, with D its diagonal; that upper one is
+built as its diagonal alone. Any other goes to
 SuperLU, factored once with J's stored zeros, whose bits it depends on, and
 with panel_size=1: a triangle factors without updates, having nothing below
 its diagonal to eliminate, so the panel width sizes only SuperLU's work
@@ -48,6 +49,16 @@ take each block of LSQ coefficients straight into their rows, beside a
 diagonal slot, and share their pattern, J's for face stencils, wherever
 neither drops a zero. An operator that drops one owns arrays of exactly its
 entries (see _Advection for the order of the build).
+
+Each residual runs on two threads. A solve, and each call of
+residual_second_order, opens a one-thread executor once the stencils are
+checked (a degenerate grid starts no thread) and joins its thread before
+returning or raising. Kx (Gx u) runs on that worker while the calling
+thread forms Ky (Gy u) and J u: SciPy's CSR products release the
+interpreter lock, so the two chains can run on two cores. Each product is
+the one kernel call on the same arrays that a single thread makes, and the
+sum keeps the order ((J u + Kx Gx u) + Ky Gy u) - b, so no bit depends on
+the cores or the scheduling. The worker runs nothing else.
 
 Costs are reported in work units: 1 per outer residual evaluation plus 0.5
 per symmetric sweep, which stands in for CPU time normalized by the cost of
@@ -178,8 +189,12 @@ class _Advection:
             shape=jac.shape)
 
     def residual(self, u):
-        return (self.jac @ u + self.kx @ (self.gx_op @ u)
-                + self.ky @ (self.gy_op @ u) - self.b)
+        """R(u), with Kx (Gx u) on the worker thread of ``self.pool``, a
+        one-thread executor that the solve opens, beside Ky (Gy u) and J u
+        here; the sum keeps the order ((J u + Kx Gx u) + Ky Gy u) - b."""
+        x = self.pool.submit(lambda: self.kx @ (self.gx_op @ u))
+        y = self.ky @ (self.gy_op @ u)
+        return self.jac @ u + x.result() + y - self.b
 
 
 def _upwind(fa, theta, faces=slice(None)):
@@ -355,9 +370,12 @@ def residual_second_order(grid, u, theta, *, p=0, stencil_mode="face",
     ``inflow`` default to the manufactured problem; tests may override them
     (e.g. with zeros) to probe conservation.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     op = _Advection(grid, theta, p, stencil_mode,
                     first_order=first_order, source=source, inflow=inflow)
-    return op.residual(np.asarray(u, dtype=float))
+    with ThreadPoolExecutor(1) as op.pool:
+        return op.residual(np.asarray(u, dtype=float))
 
 
 def jacobian_low_order(grid, theta):
@@ -366,9 +384,9 @@ def jacobian_low_order(grid, theta):
 
 
 def _triangle_solver(tri):
-    """The solve of one sweep triangle of P J P^T, given in CSC with J's
-    stored zeros: x = r / D where its strict part holds no nonzero value,
-    else SuperLU's, with the triangle factored as given."""
+    """The solve of one sweep triangle of P J P^T, given in CSC as
+    _sweep_triangles builds it: x = r / D where its strict part holds no
+    nonzero value, else SuperLU's, with the triangle factored as given."""
     import scipy.sparse.linalg as spla
 
     diag = tri.diagonal()
@@ -400,15 +418,28 @@ def _downwind_order(jac):
 
 def _sweep_triangles(jac, inv):
     """The lower and upper triangles of P J P^T (CSC, with J's stored
-    zeros), where P moves cell i to position inv[i]."""
+    zeros), where P moves cell i to position inv[i]. An upper triangle
+    whose strict part holds no nonzero value, as on an acyclic upwind
+    graph, is built as its diagonal alone: it is solved as r / D, and its
+    stored zeros serve only SuperLU's bits."""
     import scipy.sparse as sp
 
     n = jac.shape[0]
     inv = inv.astype(jac.indices.dtype)
     row = np.repeat(inv, np.diff(jac.indptr))
     col = inv[jac.indices]
-    return [sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
-            for k in (col <= row, col >= row)]
+
+    def coo(k):
+        return sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
+
+    lower = coo(col <= row)
+    if ((col > row) & (jac.data != 0)).any():
+        return lower, coo(col >= row)
+    on = col == row
+    diag = np.empty(n)
+    diag[row[on]] = jac.data[on]
+    cells = np.arange(n + 1, dtype=inv.dtype)
+    return lower, sp.csc_matrix((diag, cells[:-1], cells), shape=(n, n))
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
@@ -421,63 +452,66 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
     units per entry. A residual norm above DIVERGENCE_FACTOR times the
     initial one, or a non-finite one, stops the solve as diverged.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     spec.validate()
 
     op = _Advection(grid, spec.theta, p, stencil_mode,
                     first_order=spec.first_order)
     check_stencils(op.degenerate, stencil_mode)
 
-    n = grid.n_cells
-    u = np.zeros(n)
-    res = op.residual(u)
-    work = 1.0
-    r0 = float(np.abs(res).sum())
-    history = [1.0]
-    work_history = [work]
+    with ThreadPoolExecutor(1) as op.pool:
+        n = grid.n_cells
+        u = np.zeros(n)
+        res = op.residual(u)
+        work = 1.0
+        r0 = float(np.abs(res).sum())
+        history = [1.0]
+        work_history = [work]
 
-    if r0 == 0.0:
-        return SolveReport("converged", [0.0], work_history, u)
-    if not math.isfinite(r0):
-        return SolveReport("diverged", history, work_history, u)
+        if r0 == 0.0:
+            return SolveReport("converged", [0.0], work_history, u)
+        if not math.isfinite(r0):
+            return SolveReport("diverged", history, work_history, u)
 
-    # The triangles keep J's stored zeros, which SuperLU's bits rest on; the
-    # loop takes J on the pattern of Kx and Ky.
-    full = op.jac
-    op.share_pattern()
-    jac = op.jac
-    perm, inv = _downwind_order(jac)
-    triangles = _sweep_triangles(full, inv)
-    del full  # before SuperLU allocates its factors
-    lower, upper = map(_triangle_solver, triangles)
-    del triangles
+        # The triangles keep J's stored zeros, which SuperLU's bits rest on;
+        # the loop takes J on the pattern of Kx and Ky.
+        full = op.jac
+        op.share_pattern()
+        jac = op.jac
+        perm, inv = _downwind_order(jac)
+        triangles = _sweep_triangles(full, inv)
+        del full  # before SuperLU allocates its factors
+        lower, upper = map(_triangle_solver, triangles)
+        del triangles
 
-    status = "not-converged"
-    b, r, mag = np.empty(n), np.empty(n), np.empty(n)
-    for _ in range(spec.max_outer):
-        np.negative(res, out=b)
-        bnorm = float(np.abs(b, out=mag).sum())
-        delta = np.zeros(n)
-        r[:] = b
-        for _ in range(spec.max_sweeps):
-            delta += lower(r[perm])[inv]
-            np.subtract(b, jac @ delta, out=r)
-            delta += upper(r[perm])[inv]
-            np.subtract(b, jac @ delta, out=r)
-            work += 0.5
-            if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:
+        status = "not-converged"
+        b, r, mag = np.empty(n), np.empty(n), np.empty(n)
+        for _ in range(spec.max_outer):
+            np.negative(res, out=b)
+            bnorm = float(np.abs(b, out=mag).sum())
+            delta = np.zeros(n)
+            r[:] = b
+            for _ in range(spec.max_sweeps):
+                delta += lower(r[perm])[inv]
+                np.subtract(b, jac @ delta, out=r)
+                delta += upper(r[perm])[inv]
+                np.subtract(b, jac @ delta, out=r)
+                work += 0.5
+                if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:
+                    break
+
+            u = u + delta
+            res = op.residual(u)
+            work += 1.0
+            rnorm = float(np.abs(res).sum())
+            history.append(rnorm / r0)
+            work_history.append(work)
+            if rnorm / r0 <= spec.tolerance:
+                status = "converged"
+                break
+            if not math.isfinite(rnorm) or rnorm > DIVERGENCE_FACTOR * r0:
+                status = "diverged"
                 break
 
-        u = u + delta
-        res = op.residual(u)
-        work += 1.0
-        rnorm = float(np.abs(res).sum())
-        history.append(rnorm / r0)
-        work_history.append(work)
-        if rnorm / r0 <= spec.tolerance:
-            status = "converged"
-            break
-        if not math.isfinite(rnorm) or rnorm > DIVERGENCE_FACTOR * r0:
-            status = "diverged"
-            break
-
-    return SolveReport(status, history, work_history, u)
+        return SolveReport(status, history, work_history, u)

@@ -1,5 +1,6 @@
 """Which commands load SciPy: only ``solve`` does; ``gen``, ``analyze`` and
-``rank`` run on NumPy alone. Each check starts a fresh interpreter, since
+``rank`` run on NumPy alone, and without ``concurrent.futures``, which only
+the solve's worker thread needs. Each check starts a fresh interpreter, since
 this one has loaded SciPy for other tests. And which modules import the
 scalar oracle: none but the package's ``__init__``."""
 
@@ -37,6 +38,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in commands:
         record["codes"].append(cli.main(argv))
     record["scipy"] = scipy_modules()
+    record["futures"] = "concurrent.futures" in sys.modules
     if sys.argv[3] == "1":
         record["solve"] = cli.main(["solve", irr, "--stencil", "vertex"])
         record["scipy_after_solve"] = "scipy.sparse.linalg" in sys.modules
@@ -55,6 +57,7 @@ def test_only_solve_loads_scipy(tmp_path):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["codes"] == [0, 0, 0, 0]
     assert record["scipy"] == []
+    assert not record["futures"]
     if with_scipy:
         assert (record["solve"], record["scipy_after_solve"]) == (0, True)
 

@@ -1,12 +1,15 @@
 import hashlib
 import io
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from gridgauge import (
+    DegenerateGridError,
     DegenerateStencilError,
     GenSpec,
     Grid,
@@ -406,7 +409,9 @@ def test_downwind_order_makes_j_lower_triangular(kind, theta):
     assert np.array_equal(np.sort(perm), np.arange(grid.n_cells))
     assert np.count_nonzero(sp.triu(upper, k=1).data) == 0
     assert np.count_nonzero(lower.data) == np.count_nonzero(jac.data)
-    assert lower.nnz + upper.nnz == jac.nnz + grid.n_cells
+    # So the upper triangle is built as its diagonal alone.
+    assert upper.nnz == grid.n_cells
+    assert upper.diagonal().tobytes() == lower.diagonal().tobytes()
 
 
 def jittered_quads(seed):
@@ -464,27 +469,39 @@ def assert_same_bytes(got, want):
         assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
 
 
+def check_sweep_triangles(jac):
+    """SuperLU's bits rest on the triangles' bytes, so any build of them
+    must keep those of the COO build, stored zeros included. An upper
+    triangle whose strict part holds no nonzero value is divided, so it
+    keeps only the bytes of its diagonal, and its solve those of the full
+    triangle's. Returns whether the upper triangle was the diagonal."""
+    import scipy.sparse as sp
+
+    inv = solver._downwind_order(zero_free(jac))[1]
+    (lower, upper), (want, full) = (solver._sweep_triangles(jac, inv),
+                                    coo_triangles(jac, inv))
+    assert_same_bytes(lower, want)
+    diagonal = not sp.triu(full, k=1).data.any()
+    assert_same_bytes(upper, sp.tril(full, format="csc") if diagonal
+                      else full)
+    r = np.random.default_rng(8).uniform(-1.0, 1.0, jac.shape[0])
+    assert (solver._triangle_solver(upper)(r).tobytes()
+            == solver._triangle_solver(full)(r).tobytes())
+    return diagonal
+
+
 @pytest.mark.parametrize("nx", [17, 33])
 @pytest.mark.parametrize("kind", KINDS)
 def test_sweep_triangles_match_a_coo_build(kind, nx):
-    # SuperLU's bits rest on the triangles' bytes, so any build of them
-    # must keep those of the COO build here, stored zeros included.
     grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3, seed=42))
     for theta in (0.0, 30.0, 120.0, 210.0):
-        jac = jacobian_low_order(grid, theta)
-        inv = solver._downwind_order(zero_free(jac))[1]
-        for got, want in zip(solver._sweep_triangles(jac, inv),
-                             coo_triangles(jac, inv)):
-            assert_same_bytes(got, want)
+        assert check_sweep_triangles(jacobian_low_order(grid, theta))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sweep_triangles_match_a_coo_build_with_cycles(seed):
-    jac = jacobian_low_order(jittered_quads(seed), 30.0)
-    inv = solver._downwind_order(zero_free(jac))[1]
-    for got, want in zip(solver._sweep_triangles(jac, inv),
-                         coo_triangles(jac, inv)):
-        assert_same_bytes(got, want)
+    assert not check_sweep_triangles(
+        jacobian_low_order(jittered_quads(seed), 30.0))
 
 
 def is_superlu(solve):
@@ -785,6 +802,81 @@ def test_residual_matches_per_face_evaluation(kind, mode, p, first_order):
                                     first_order=first_order)
         want = per_face_residual(grid, u, theta, p, mode, first_order)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def one_thread_residual(op, u):
+    """R(u) of op's operators, each product on the calling thread, summed
+    in the order of _Advection.residual."""
+    return (op.jac @ u + op.kx @ (op.gx_op @ u) + op.ky @ (op.gy_op @ u)
+            - op.b)
+
+
+@pytest.mark.parametrize("mode, p, first_order", [
+    ("face", 0, False), ("face", 1, False), ("vertex", 0, False),
+    ("vertex", 1, False), ("face", 0, True)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_residual_keeps_its_bits_on_the_worker(kind, mode, p, first_order):
+    # Kx (Gx u) runs on the solve's worker thread, beside the other
+    # products; each product is one kernel call on the same arrays and the
+    # sum keeps its order, so every bit, signed zeros included, is that of
+    # a residual evaluated on one thread: through residual_second_order,
+    # and in the loop, with J on the pattern of Kx and Ky.
+    grid = generate(GenSpec(kind=kind, nx=33, ny=33, perturb=0.3, seed=42))
+    op = solver._Advection(grid, 30.0, p, mode, first_order=first_order)
+    random = np.random.default_rng(9).uniform(-1.0, 1.0, grid.n_cells)
+    for u in (random, np.zeros(grid.n_cells)):
+        want = one_thread_residual(op, u).view(np.uint64)
+        got = residual_second_order(grid, u, 30.0, p=p, stencil_mode=mode,
+                                    first_order=first_order)
+        assert np.array_equal(got.view(np.uint64), want)
+    op.share_pattern()
+    with ThreadPoolExecutor(1) as op.pool:
+        for u in (random, np.zeros(grid.n_cells)):
+            assert np.array_equal(op.residual(u).view(np.uint64),
+                                  one_thread_residual(op, u).view(np.uint64))
+
+
+def strip_grid():
+    """A 1x5 strip of quads, whose face stencils are all degenerate."""
+    nodes = [(float(i), y) for y in (0.0, 1.0) for i in range(6)]
+    cells = [(i, i + 1, i + 7, i + 6) for i in range(5)]
+    return Grid("strip", np.array(nodes), np.array(cells))
+
+
+@pytest.mark.parametrize("case", ["converged", "max_outer", "nan",
+                                  "degenerate", "residual"])
+def test_no_thread_outlives_a_solve(case, monkeypatch):
+    # Each solve, and each residual_second_order call, opens its worker
+    # thread and joins it before it returns, also when it stops early or
+    # raises; a degenerate grid starts none.
+    grid = generate(GenSpec(kind="tri_irregular", nx=17, ny=17,
+                            perturb=0.3, seed=42))
+    before = threading.enumerate()
+    during = []
+    real = solver._Advection.residual
+
+    def residual(self, u):
+        res = real(self, u)
+        during.append(threading.enumerate())
+        return np.full_like(res, np.nan) if case == "nan" else res
+
+    monkeypatch.setattr(solver._Advection, "residual", residual)
+    if case == "degenerate":
+        with pytest.raises(DegenerateGridError):
+            defect_correction_solve(strip_grid(), ProblemSpec())
+    elif case == "residual":
+        residual_second_order(grid, np.ones(grid.n_cells), 30.0)
+    else:
+        report = defect_correction_solve(
+            grid, ProblemSpec(max_outer=1 if case == "max_outer" else 200),
+            stencil_mode="vertex")
+        assert report.status == {"converged": "converged", "nan": "diverged",
+                                 "max_outer": "not-converged"}[case]
+    assert threading.enumerate() == before
+    assert bool(during) == (case != "degenerate")
+    for threads in during:
+        assert len(threads) == len(before) + 1
+        assert set(before) < set(threads)
 
 
 def test_first_order_newton_property():
