@@ -103,6 +103,15 @@ def check_stencils(degenerate, stencil_mode):
     return n_bad
 
 
+def check_options(p, stencil_mode):
+    """Raise ValueError naming a weight exponent p other than 0 or 1 or a
+    stencil mode other than "face" or "vertex", before anything is built."""
+    if p not in (0, 1):
+        raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
+    if stencil_mode not in ("face", "vertex"):
+        raise ValueError(f"unknown stencil mode {stencil_mode!r}")
+
+
 def _adjacency(grid, mode):
     """Sorted neighbor lists of all cells as CSR (indptr, indices): cells
     sharing an edge, or for mode="vertex" a node."""
@@ -111,8 +120,6 @@ def _adjacency(grid, mode):
     index_type = np.int32 if n < 2**31 else np.intp
     if mode == "vertex":
         return _vertex_rows(grid, index_type)
-    if mode != "face":
-        raise ValueError(f"unknown stencil mode {mode!r}")
     fa = grid.face_arrays
     inner = fa.neighbor != -1
     own, nb = fa.owner[inner], fa.neighbor[inner]
@@ -178,9 +185,7 @@ def _systems(grid, p, indptr, indices):
     follow the scalar :func:`gridgauge.oracle.build_system` operation for
     operation, and a cell is degenerate where it or ``build_stencil`` would
     raise. A block is dropped here once yielded, so a consumer that drops
-    it too holds one block at a time."""
-    if p not in (0, 1):
-        raise ValueError(f"weight exponent p must be 0 or 1, got {p}")
+    it too holds one block at a time. The caller checks p."""
     xc, yc = grid.centroids.T
     tol = DEGENERACY_RTOL * grid.bbox_diagonal
     lo = 0
@@ -245,6 +250,7 @@ def _coefficients(a, b, u, v, det, row, bad):
 def lsq_table(grid, p=0, stencil_mode="face"):
     """Build the :class:`LsqTable` of a grid from the blocks of
     :func:`_systems`, each dropped once its F and G are taken."""
+    check_options(p, stencil_mode)
     indptr, indices = _adjacency(grid, stencil_mode)
     n = grid.n_cells
     table = LsqTable(np.empty(n, dtype=bool), np.empty(n), np.empty(n),

@@ -31,24 +31,27 @@ only a cycle's entries lie above it. So the upper triangle is the diagonal
 outside the cycles, and the lower one holds the upwind neighbors and is
 deep: hundreds of levels at theta = 30 on 129^2 triangle grids.
 
-A triangle whose strict part holds no nonzero value, as the upper one of an
-acyclic graph, is solved as r / D, with D its diagonal; that upper one is
-built as its diagonal alone. Any other goes to
-SuperLU, factored once with J's stored zeros, whose bits it depends on, and
-with panel_size=1: a triangle factors without updates, having nothing below
-its diagonal to eliminate, so the panel width sizes only SuperLU's work
-arrays, which are allocated in C and grow with it, and cannot change a bit
-of the factors.
+One function, _half_sweeps, sets the sweeps up and asks once per triangle
+whether its strict part holds a nonzero value. Each half-sweep takes the
+residual in file order and returns its update in file order. A triangle
+with no such value, as the upper one of an acyclic graph, is solved as
+r / D, D being J's diagonal, with no permutation and no matrix built. Any
+other is built in downwind order and goes to SuperLU, factored once with
+J's stored zeros, whose bits it depends on, and with panel_size=1: a
+triangle factors without updates, having nothing below its diagonal to
+eliminate, so the panel width sizes only SuperLU's work arrays, which are
+allocated in C and grow with it, and cannot change a bit of the factors.
 
 The face adjacency and J's CSR pattern are built once, for J, Kx and Ky and
 for face-stencil Gx and Gy. J keeps that pattern, stored zeros included,
-until its triangles are built; Kx and Ky share one zero-free pattern, the
-entries where J, Kx or Ky is nonzero, and the loop takes J on it too. Each
-sums its terms per entry in the order of a COO-to-CSR assembly. Gx and Gy
-take each block of LSQ coefficients straight into their rows, beside a
-diagonal slot, and share their pattern, J's for face stencils, wherever
-neither drops a zero. An operator that drops one owns arrays of exactly its
-entries (see _Advection for the order of the build).
+until the sweeps are set up: J then moves onto the zero-free pattern that
+Kx and Ky share, the entries where J, Kx or Ky is nonzero, and the full
+copy is dropped once the triangles are built, before they are factored.
+J, Kx and Ky each sum their terms per entry in the order of a COO-to-CSR
+assembly. Gx and Gy take each block of LSQ coefficients straight into
+their rows, beside a diagonal slot, and share their pattern, J's for face
+stencils, wherever neither drops a zero. An operator that drops one owns
+arrays of exactly its entries (see _Advection for the order of the build).
 
 Each residual runs on two threads. A solve, and each call of
 residual_second_order, opens a one-thread executor once the stencils are
@@ -69,11 +72,12 @@ importing gridgauge loads NumPy alone and only a solve pays for SciPy.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import _adjacency, _systems, check_stencils
+from .lsq import _adjacency, _systems, check_options, check_stencils
 
 DIVERGENCE_FACTOR = 1e6
 INNER_REDUCTION = 0.1
@@ -107,8 +111,11 @@ class ProblemSpec:
                 f"tolerance must be positive and finite, got {self.tolerance}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        if self.max_outer < 1 or self.max_sweeps < 1:
-            raise ValueError("iteration caps must be at least 1")
+        caps = self.max_outer, self.max_sweeps
+        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in caps):
+            raise ValueError(
+                "iteration caps must be integers of at least 1, got "
+                f"max_outer={self.max_outer}, max_sweeps={self.max_sweeps}")
 
 
 @dataclass
@@ -155,6 +162,7 @@ class _Advection:
                  first_order=False, source=source_term, inflow=exact_solution):
         import scipy.sparse as sp
 
+        check_options(p, stencil_mode)
         n = grid.n_cells
         pattern = _with_diagonal(*_adjacency(grid, "face"))
         self.jac, self.kx, self.ky = _face_operators(grid, theta, pattern)
@@ -323,6 +331,7 @@ def _gradient_operators(grid, p, stencil_mode, pattern=None):
     read off it, else both are built here."""
     import scipy.sparse as sp
 
+    check_options(p, stencil_mode)
     n = grid.n_cells
     if pattern is None:
         ptr, stencil = _adjacency(grid, stencil_mode)
@@ -383,63 +392,54 @@ def jacobian_low_order(grid, theta):
     return _Advection(grid, theta, first_order=True).jac
 
 
-def _triangle_solver(tri):
-    """The solve of one sweep triangle of P J P^T, given in CSC as
-    _sweep_triangles builds it: x = r / D where its strict part holds no
-    nonzero value, else SuperLU's, with the triangle factored as given."""
-    import scipy.sparse.linalg as spla
+def _half_sweeps(op):
+    """The lower and upper half-sweeps of the solve: each takes a residual r
+    in file order and returns x in file order, the solve of its triangle of
+    P J P^T, x = P^T solve(P r). Moves J onto the pattern of Kx and Ky.
 
-    diag = tri.diagonal()
-    if np.count_nonzero(tri.data) == np.count_nonzero(diag):
-        return lambda r: r / diag
-    return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     panel_size=1).solve
-
-
-def _downwind_order(jac):
-    """The cells in downwind order, perm (cell perm[k] comes k-th), and its
-    inverse inv (cell i comes inv[i]-th): the strongly connected components
+    P puts the cells in downwind order: the strongly connected components
     of J's upwind graph, each upwind of the ones after it, with a
     component's cells in ascending index order. SciPy labels the components
     in the order its depth-first search completes them (Pearce, 2005), so a
     cell's upwind neighbors outside its component carry smaller labels; the
-    tests pin that. J must hold no stored zero, as after
-    _Advection.share_pattern: SciPy would take J's stored zeros, the
-    downwind side of each face, for edges."""
+    tests pin that. The graph is the zero-free J: SciPy would take J's
+    stored zeros, the downwind side of each face, for edges.
+
+    Each triangle is divided or factored as the module docstring says. J
+    with its stored zeros, which the factored triangles are built from, and
+    its remapped indices are dropped before SuperLU allocates the factors."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     from scipy.sparse.csgraph import connected_components
 
-    labels = connected_components(jac, directed=True,
+    full = op.jac
+    op.share_pattern()
+    labels = connected_components(op.jac, directed=True,
                                   connection="strong")[1]
     perm = np.argsort(labels, kind="stable")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    return perm, inv
+    n = len(perm)
+    inv = np.empty(n, dtype=full.indices.dtype)
+    inv[perm] = np.arange(n)
+    d = full.diagonal()
+    row = np.repeat(inv, np.diff(full.indptr))
+    col = inv[full.indices]
+    triangles = []
+    for on_side in (np.less_equal, np.greater_equal):
+        side = on_side(col, row)
+        triangles.append(
+            sp.csc_matrix((full.data[side], (row[side], col[side])),
+                          shape=(n, n))
+            if full.data[side & (col != row)].any() else None)
+    del full, row, col, side  # before SuperLU allocates its factors
 
+    def half_sweep(tri):
+        if tri is None:
+            return lambda r: r / d
+        solve = spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                          panel_size=1).solve
+        return lambda r: solve(r[perm])[inv]
 
-def _sweep_triangles(jac, inv):
-    """The lower and upper triangles of P J P^T (CSC, with J's stored
-    zeros), where P moves cell i to position inv[i]. An upper triangle
-    whose strict part holds no nonzero value, as on an acyclic upwind
-    graph, is built as its diagonal alone: it is solved as r / D, and its
-    stored zeros serve only SuperLU's bits."""
-    import scipy.sparse as sp
-
-    n = jac.shape[0]
-    inv = inv.astype(jac.indices.dtype)
-    row = np.repeat(inv, np.diff(jac.indptr))
-    col = inv[jac.indices]
-
-    def coo(k):
-        return sp.csc_matrix((jac.data[k], (row[k], col[k])), shape=(n, n))
-
-    lower = coo(col <= row)
-    if ((col > row) & (jac.data != 0)).any():
-        return lower, coo(col >= row)
-    on = col == row
-    diag = np.empty(n)
-    diag[row[on]] = jac.data[on]
-    cells = np.arange(n + 1, dtype=inv.dtype)
-    return lower, sp.csc_matrix((diag, cells[:-1], cells), shape=(n, n))
+    return [half_sweep(tri) for tri in triangles]
 
 
 def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
@@ -474,16 +474,8 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
         if not math.isfinite(r0):
             return SolveReport("diverged", history, work_history, u)
 
-        # The triangles keep J's stored zeros, which SuperLU's bits rest on;
-        # the loop takes J on the pattern of Kx and Ky.
-        full = op.jac
-        op.share_pattern()
+        lower, upper = _half_sweeps(op)
         jac = op.jac
-        perm, inv = _downwind_order(jac)
-        triangles = _sweep_triangles(full, inv)
-        del full  # before SuperLU allocates its factors
-        lower, upper = map(_triangle_solver, triangles)
-        del triangles
 
         status = "not-converged"
         b, r, mag = np.empty(n), np.empty(n), np.empty(n)
@@ -493,9 +485,9 @@ def defect_correction_solve(grid, spec, p=0, stencil_mode="face"):
             delta = np.zeros(n)
             r[:] = b
             for _ in range(spec.max_sweeps):
-                delta += lower(r[perm])[inv]
+                delta += lower(r)
                 np.subtract(b, jac @ delta, out=r)
-                delta += upper(r[perm])[inv]
+                delta += upper(r)
                 np.subtract(b, jac @ delta, out=r)
                 work += 0.5
                 if float(np.abs(r, out=mag).sum()) <= INNER_REDUCTION * bnorm:

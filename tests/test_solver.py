@@ -349,14 +349,6 @@ def zero_free(jac):
     return graph
 
 
-def downwind(jac):
-    """The solver's downwind order of J's cells and the triangles of
-    P J P^T that its sweeps solve, as the solve takes them: the order from
-    the zero-free J, the triangles from J with its stored zeros."""
-    perm, inv = solver._downwind_order(zero_free(jac))
-    return perm, solver._sweep_triangles(jac, inv)
-
-
 def strong_components(jac):
     """The strongly connected component of each cell in J's upwind graph,
     the zero-free pattern of J."""
@@ -364,6 +356,35 @@ def strong_components(jac):
 
     return connected_components(zero_free(jac), directed=True,
                                 connection="strong")[1]
+
+
+def downwind(jac):
+    """The downwind order of J's cells, perm (cell perm[k] comes k-th), and
+    its inverse inv: the stable argsort of their strong components."""
+    perm = np.argsort(strong_components(jac), kind="stable")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return perm, inv
+
+
+def half_sweeps(grid, theta):
+    """The solve's lower and upper half-sweeps for the first-order J of the
+    grid at theta, J as built, with its stored zeros, and the (triangle,
+    factor) pairs handed to SuperLU, in the order it factored them."""
+    import scipy.sparse.linalg as spla
+
+    splu, factored = spla.splu, []
+
+    def factor(tri, **options):
+        factored.append((tri, splu(tri, **options)))
+        return factored[-1][1]
+
+    op = solver._Advection(grid, theta, first_order=True)
+    jac = op.jac
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spla, "splu", factor)
+        lower, upper = solver._half_sweeps(op)
+    return jac, lower, upper, factored
 
 
 @pytest.mark.parametrize("kind, mode, iterations, work", [
@@ -403,15 +424,13 @@ def test_downwind_order_makes_j_lower_triangular(kind, theta):
     import scipy.sparse as sp
 
     grid = generate(GenSpec(kind=kind, nx=33, ny=33, perturb=0.3, seed=42))
-    jac = jacobian_low_order(grid, theta)
+    jac, divided = check_half_sweeps(grid, theta)
     assert len(np.unique(strong_components(jac))) == grid.n_cells
-    perm, (lower, upper) = downwind(jac)
-    assert np.array_equal(np.sort(perm), np.arange(grid.n_cells))
+    lower, upper = coo_triangles(jac, downwind(jac)[1])
     assert np.count_nonzero(sp.triu(upper, k=1).data) == 0
     assert np.count_nonzero(lower.data) == np.count_nonzero(jac.data)
-    # So the upper triangle is built as its diagonal alone.
-    assert upper.nnz == grid.n_cells
-    assert upper.diagonal().tobytes() == lower.diagonal().tobytes()
+    # So the lower triangle is factored alone and the upper one divided.
+    assert divided == (False, True)
 
 
 def jittered_quads(seed):
@@ -432,15 +451,16 @@ def test_downwind_solve_with_cyclic_upwind_graph(seed):
     # The jittered quads include non-convex cells, and at theta 30 their
     # upwind graph has cycles: 14 to 20 strong components of 2 cells or more
     # per grid. Only entries inside a component lie above the diagonal, so
-    # the upper triangle goes to SuperLU, and the solve converges.
+    # the upper triangle goes to SuperLU too, and the solve converges.
     import scipy.sparse as sp
 
     grid = jittered_quads(seed)
-    jac = jacobian_low_order(grid, 30.0)
+    jac, _, _, factored = half_sweeps(grid, 30.0)
     label = strong_components(jac)
     assert np.count_nonzero(np.bincount(label) > 1) >= 10
-    perm, (_, upper) = downwind(jac)
-    above = sp.triu(upper, k=1).tocoo()
+    assert len(factored) == 2
+    perm = downwind(jac)[0]
+    above = sp.triu(factored[1][0], k=1).tocoo()
     nonzero = above.data != 0
     assert nonzero.any()
     assert np.array_equal(label[perm[above.row[nonzero]]],
@@ -451,8 +471,9 @@ def test_downwind_solve_with_cyclic_upwind_graph(seed):
 
 
 def coo_triangles(jac, inv):
-    """The triangles of P J P^T as a COO build gives them, the reference of
-    _sweep_triangles: every entry of J with its remapped row and column."""
+    """The lower and upper triangles of P J P^T as a COO build gives them,
+    the reference of the solve's: every entry of J with its remapped row and
+    column."""
     import scipy.sparse as sp
 
     n = jac.shape[0]
@@ -469,25 +490,56 @@ def assert_same_bytes(got, want):
         assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
 
 
-def check_sweep_triangles(jac):
-    """SuperLU's bits rest on the triangles' bytes, so any build of them
-    must keep those of the COO build, stored zeros included. An upper
-    triangle whose strict part holds no nonzero value is divided, so it
-    keeps only the bytes of its diagonal, and its solve those of the full
-    triangle's. Returns whether the upper triangle was the diagonal."""
-    import scipy.sparse as sp
+def check_half_sweeps(grid, theta):
+    """No depth walk picks a half-sweep's solve: a triangle of P J P^T whose
+    strict part, read through COO, holds no nonzero value is solved as
+    r / D in file order, bit for bit, and any other goes to SuperLU, lower
+    first. SuperLU's bits rest on the triangles' bytes, so each triangle it
+    factors keeps those of the COO build, stored zeros included. Returns J
+    and whether the lower and the upper half-sweep were divided."""
+    jac, lower, upper, factored = half_sweeps(grid, theta)
+    r = np.random.default_rng(8).uniform(-1.0, 1.0, grid.n_cells)
+    divided, want = [], []
+    for half, tri in zip((lower, upper), coo_triangles(jac, downwind(jac)[1])):
+        coo = tri.tocoo()
+        divided.append(not coo.data[coo.row != coo.col].any())
+        if divided[-1]:
+            assert half(r).tobytes() == (r / jac.diagonal()).tobytes()
+        else:
+            want.append(tri)
+    assert len(factored) == len(want)
+    for (got, _), tri in zip(factored, want):
+        assert_same_bytes(got, tri)
+    return jac, tuple(divided)
 
-    inv = solver._downwind_order(zero_free(jac))[1]
-    (lower, upper), (want, full) = (solver._sweep_triangles(jac, inv),
-                                    coo_triangles(jac, inv))
-    assert_same_bytes(lower, want)
-    diagonal = not sp.triu(full, k=1).data.any()
-    assert_same_bytes(upper, sp.tril(full, format="csc") if diagonal
-                      else full)
-    r = np.random.default_rng(8).uniform(-1.0, 1.0, jac.shape[0])
-    assert (solver._triangle_solver(upper)(r).tobytes()
-            == solver._triangle_solver(full)(r).tobytes())
-    return diagonal
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+def test_full_jacobian_released_before_superlu_factors(cyclic, monkeypatch):
+    # The triangles are built from J with its stored zeros; the solve drops
+    # that J before SuperLU allocates its factors, the largest arrays of the
+    # sweep setup, so the two are never held at once.
+    import weakref
+
+    import scipy.sparse.linalg as spla
+
+    grid = (jittered_quads(1) if cyclic
+            else generate(GenSpec(kind="quad", nx=17, ny=17)))
+    init, splu = solver._Advection.__init__, spla.splu
+    built, alive = [], []
+
+    def advection(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self.jac))
+
+    def factor(tri, **options):
+        alive.append([ref() is not None for ref in built])
+        return splu(tri, **options)
+
+    monkeypatch.setattr(solver._Advection, "__init__", advection)
+    monkeypatch.setattr(spla, "splu", factor)
+    defect_correction_solve(grid, ProblemSpec(max_outer=1))
+    assert len(built) == 1
+    assert alive == [[False]] * (2 if cyclic else 1)
 
 
 @pytest.mark.parametrize("nx", [17, 33])
@@ -495,83 +547,49 @@ def check_sweep_triangles(jac):
 def test_sweep_triangles_match_a_coo_build(kind, nx):
     grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3, seed=42))
     for theta in (0.0, 30.0, 120.0, 210.0):
-        assert check_sweep_triangles(jacobian_low_order(grid, theta))
+        assert check_half_sweeps(grid, theta)[1] == (False, True)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sweep_triangles_match_a_coo_build_with_cycles(seed):
-    assert not check_sweep_triangles(
-        jacobian_low_order(jittered_quads(seed), 30.0))
-
-
-def is_superlu(solve):
-    """Whether a sweep triangle's solve is SuperLU's."""
-    from scipy.sparse.linalg import SuperLU
-
-    return isinstance(getattr(solve, "__self__", None), SuperLU)
-
-
-def triangles(jac):
-    """J's sweep triangles in downwind order, then in file order, each with
-    whether it is the lower one."""
-    import scipy.sparse as sp
-
-    return zip((*downwind(jac)[1], sp.tril(jac, format="csc"),
-                sp.triu(jac, format="csc")), (True, False, True, False))
-
-
-def check_triangle_solvers(jac):
-    """Each sweep triangle of J, in downwind and in file order, is divided
-    exactly when its strict part, read through COO, holds no nonzero value,
-    and goes to SuperLU otherwise. Returns how many were divided."""
-    divided = 0
-    for tri, _ in triangles(jac):
-        coo = tri.tocoo()
-        diagonal = not coo.data[coo.row != coo.col].any()
-        assert is_superlu(solver._triangle_solver(tri)) != diagonal
-        divided += diagonal
-    return divided
+    assert check_half_sweeps(jittered_quads(seed), 30.0)[1] == (False, False)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_depth_walk_keeps_every_triangle_solver(kind):
-    # No depth walk picks a triangle's solver: a triangle whose strict part
-    # holds no nonzero value is solved as r / D, and any other goes to
-    # SuperLU. 4 kinds x 5^2, 17^2, 33^2 and 65^2 x seeds 0 and 7 x 7
-    # angles, both triangles; in downwind order the upper one is divided.
+    # 4 kinds x 5^2, 17^2, 33^2 and 65^2 x seeds 0 and 7 x 7 angles, both
+    # half-sweeps; in downwind order the upper one is divided.
     divided = 0
     for nx in (5, 17, 33, 65):
         for seed in (0, 7):
             grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
                                     seed=seed))
             for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
-                divided += check_triangle_solvers(
-                    jacobian_low_order(grid, theta))
+                divided += sum(check_half_sweeps(grid, theta)[1])
     assert divided > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_depth_walk_keeps_every_triangle_solver_with_cycles(seed):
     # The jittered quads' cycles put nonzeros on both sides of the
-    # diagonal, so no triangle is divided.
-    jac = jacobian_low_order(jittered_quads(seed), 30.0)
-    assert check_triangle_solvers(jac) == 0
+    # diagonal, so no half-sweep is divided.
+    assert check_half_sweeps(jittered_quads(seed), 30.0)[1] == (False, False)
 
 
 @pytest.mark.parametrize("kind", ["tri_regular", "tri_irregular"])
 def test_deep_downwind_triangle_needs_no_level_rounds(kind):
     # The downwind lower triangle is hundreds of levels deep; it goes to
-    # SuperLU in one factor, with no level rounds, and its solve matches a
-    # row-by-row triangular solve to roundoff.
+    # SuperLU in one factor, with no level rounds, and the lower half-sweep
+    # matches a row-by-row triangular solve to roundoff.
     from scipy.sparse.linalg import spsolve_triangular
 
     grid = generate(GenSpec(kind=kind, nx=65, ny=65, perturb=0.3, seed=42))
-    lower = downwind(jacobian_low_order(grid, 30.0))[1][0]
-    solve = solver._triangle_solver(lower)
-    assert is_superlu(solve)
-    r = np.random.default_rng(6).uniform(-1.0, 1.0, lower.shape[0])
-    want = spsolve_triangular(lower.tocsr(), r, lower=True)
-    np.testing.assert_allclose(solve(r), want, rtol=1e-13,
+    jac, lower, _, factored = half_sweeps(grid, 30.0)
+    assert len(factored) == 1
+    perm, inv = downwind(jac)
+    r = np.random.default_rng(6).uniform(-1.0, 1.0, grid.n_cells)
+    want = spsolve_triangular(factored[0][0].tocsr(), r[perm], lower=True)[inv]
+    np.testing.assert_allclose(lower(r), want, rtol=1e-13,
                                atol=1e-13 * np.abs(want).max())
 
 
@@ -581,19 +599,25 @@ def substitute(tri, r, lower):
     reads), then row by row in level order x[i] = (r[i] - s) / d[i], with s
     summed from +0.0 over the row's off-diagonal nonzeros in ascending
     column order. Returns x and the depth."""
-    dense = tri.toarray()
+    csr = tri.tocsr()
+    csr.sort_indices()
     n = len(r)
-    deps = [[j for j in range(n) if j != i and dense[i, j] != 0.0]
-            for i in range(n)]
+    deps = []
+    for i in range(n):
+        row = slice(csr.indptr[i], csr.indptr[i + 1])
+        deps.append([(int(j), float(v))
+                     for j, v in zip(csr.indices[row], csr.data[row])
+                     if j != i and v != 0.0])
     level = [0] * n
     for i in (range(n) if lower else reversed(range(n))):
-        level[i] = max((level[j] + 1 for j in deps[i]), default=0)
+        level[i] = max((level[j] + 1 for j, _ in deps[i]), default=0)
+    diag = csr.diagonal()
     x = [0.0] * n
     for i in sorted(range(n), key=lambda i: level[i]):
         s = 0.0
-        for j in deps[i]:
-            s += float(dense[i, j]) * x[j]
-        x[i] = (float(r[i]) - s) / float(dense[i, i])
+        for j, v in deps[i]:
+            s += v * x[j]
+        x[i] = (float(r[i]) - s) / float(diag[i])
     return np.array(x), max(level)
 
 
@@ -602,48 +626,50 @@ def substitute(tri, r, lower):
 def test_level_solve_matches_substitution(kind, theta):
     # The division is the substitution bit for bit; SuperLU matches it to
     # roundoff, relative to each entry or, where an entry's sum cancels, to
-    # the largest.
+    # the largest. Each half-sweep takes and returns file order.
     grid = generate(GenSpec(kind=kind, nx=17, ny=17, perturb=0.3, seed=42))
-    jac = jacobian_low_order(grid, theta)
+    jac, lower, upper, factored = half_sweeps(grid, theta)
+    perm, inv = downwind(jac)
     r = np.random.default_rng(4).uniform(-1.0, 1.0, grid.n_cells)
-    for tri, lower in triangles(jac):
-        want, depth = substitute(tri, r, lower)
-        solve = solver._triangle_solver(tri)
-        assert is_superlu(solve) == (depth > 0)
+    deep = 0
+    for half, tri, side in zip((lower, upper), coo_triangles(jac, inv),
+                               (True, False)):
+        want, depth = substitute(tri, r[perm], side)
+        want = want[inv]
+        deep += depth > 0
         if depth == 0:
-            assert solve(r).tobytes() == want.tobytes()
+            assert half(r).tobytes() == want.tobytes()
         else:
-            np.testing.assert_allclose(solve(r), want, rtol=1e-13,
+            np.testing.assert_allclose(half(r), want, rtol=1e-13,
                                        atol=1e-13 * np.abs(want).max())
+    assert len(factored) == deep
 
 
 def test_deep_triangle_goes_to_superlu():
-    import scipy.sparse as sp
-
     # With a = (cos 120, sin 120) a quad cell reads its east and its south
-    # neighbor, so on 33x33 nodes each triangle is a chain 31 levels deep.
-    jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=33, ny=33)),
-                             120.0)
-    for side in (sp.tril, sp.triu):
-        assert is_superlu(solver._triangle_solver(side(jac, format="csc")))
+    # neighbor, so on 33x33 nodes the downwind lower triangle holds both,
+    # 62 levels deep, and is factored alone.
+    grid = generate(GenSpec(kind="quad", nx=33, ny=33))
+    jac, lower, _, factored = half_sweeps(grid, 120.0)
+    tri = coo_triangles(jac, downwind(jac)[1])[0]
+    assert_same_bytes(factored[0][0], tri)
+    assert len(factored) == 1
+    r = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_cells)
+    assert substitute(tri, r, lower=True)[1] == 62
 
 
 def test_superlu_solves_a_deep_upper_triangle():
-    # Downwind sweeps give SuperLU deep lower triangles; its path for a deep
-    # upper triangle, which a cyclic upwind graph gives it, stays checked
-    # here. Quad 17x17 at theta 120 in file order: the upper triangle is 15
-    # levels deep.
-    import scipy.sparse as sp
-
-    jac = jacobian_low_order(generate(GenSpec(kind="quad", nx=17, ny=17)),
-                             120.0)
-    tri = sp.triu(jac, format="csc")
-    r = np.random.default_rng(5).uniform(-1.0, 1.0, jac.shape[0])
-    want, depth = substitute(tri, r, lower=False)
-    assert depth == 15
-    got = solver._triangle_solver(tri)
-    assert is_superlu(got)
-    np.testing.assert_allclose(got(r), want, rtol=1e-13)
+    # Downwind sweeps give SuperLU deep lower triangles; only a cyclic
+    # upwind graph gives it an upper one, 5, 5 and 4 levels deep on the
+    # jittered quads, and the upper half-sweep matches its substitution.
+    for seed, levels in ((1, 5), (2, 5), (3, 4)):
+        grid = jittered_quads(seed)
+        jac, _, upper, factored = half_sweeps(grid, 30.0)
+        perm, inv = downwind(jac)
+        r = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_cells)
+        want, depth = substitute(factored[1][0], r[perm], lower=False)
+        assert depth == levels
+        np.testing.assert_allclose(upper(r), want[inv], rtol=1e-13)
 
 
 def test_triangle_factor_ignores_panel_size():
@@ -651,8 +677,8 @@ def test_triangle_factor_ignores_panel_size():
     # only sizes its work arrays: the solver's factor, whatever its panel
     # width, equals the factor at SciPy's default width bit for bit, up to
     # the order of U's entries within a column, and so do the solves, on
-    # every triangle that goes to SuperLU.
-    import scipy.sparse as sp
+    # every triangle that a solve factors: the downwind lower triangles of
+    # generated grids and both triangles of the cyclic jittered quads.
     import scipy.sparse.linalg as spla
 
     def same(a, b):
@@ -660,30 +686,29 @@ def test_triangle_factor_ignores_panel_size():
                 and a.indices.tobytes() == b.indices.tobytes()
                 and a.data.tobytes() == b.data.tobytes())
 
+    grids = [(jittered_quads(seed), (30.0,)) for seed in (1, 2, 3)]
     for kind in KINDS:
         for nx in (17, 33):
             for seed in (0, 7):
-                grid = generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
-                                        seed=seed))
-                r = np.random.default_rng(seed).uniform(-1.0, 1.0,
-                                                        grid.n_cells)
-                for theta in (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0):
-                    jac = jacobian_low_order(grid, theta)
-                    for side in (sp.tril, sp.triu):
-                        tri = side(jac, format="csc")
-                        solve = solver._triangle_solver(tri)
-                        if not is_superlu(solve):
-                            continue
-                        got = solve.__self__
-                        want = spla.splu(tri, permc_spec="NATURAL",
-                                         diag_pivot_thresh=0.0)
-                        assert same(got.L, want.L)
-                        u, v = got.U, want.U
-                        u.sort_indices()
-                        v.sort_indices()
-                        assert same(u, v)
-                        assert (got.solve(r).tobytes()
-                                == want.solve(r).tobytes())
+                grids.append((
+                    generate(GenSpec(kind=kind, nx=nx, ny=nx, perturb=0.3,
+                                     seed=seed)),
+                    (0.0, 30.0, 45.0, 120.0, 210.0, 300.0, 330.0)))
+    factors = 0
+    for grid, thetas in grids:
+        r = np.random.default_rng(0).uniform(-1.0, 1.0, grid.n_cells)
+        for theta in thetas:
+            for tri, got in half_sweeps(grid, theta)[3]:
+                want = spla.splu(tri, permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0)
+                assert same(got.L, want.L)
+                u, v = got.U, want.U
+                u.sort_indices()
+                v.sort_indices()
+                assert same(u, v)
+                assert got.solve(r).tobytes() == want.solve(r).tobytes()
+                factors += 1
+    assert factors == 6 + 112
 
 
 @pytest.mark.parametrize("kind, mode", [("tri_regular", "face"),
@@ -1018,6 +1043,37 @@ def test_problem_spec_validation():
         ProblemSpec(max_outer=0).validate()
     with pytest.raises(ValueError):
         ProblemSpec(max_sweeps=0).validate()
+    # A float cap would pass a comparison and fail in range() after the
+    # whole operator build.
+    with pytest.raises(ValueError, match="iteration caps must be integers"):
+        ProblemSpec(max_outer=2.0).validate()
+    with pytest.raises(ValueError, match="iteration caps must be integers"):
+        ProblemSpec(max_sweeps=1.5).validate()
+
+
+@pytest.mark.parametrize("first_order", [False, True])
+@pytest.mark.parametrize("option, message", [
+    ({"p": 7}, "weight exponent p must be 0 or 1, got 7"),
+    ({"stencil_mode": "bogus"}, "unknown stencil mode 'bogus'"),
+], ids=["p", "stencil_mode"])
+@pytest.mark.parametrize("run", [
+    lambda grid, first_order, **kw: defect_correction_solve(
+        grid, ProblemSpec(first_order=first_order), **kw),
+    lambda grid, first_order, **kw: residual_second_order(
+        grid, np.zeros(grid.n_cells), 30.0, first_order=first_order, **kw),
+], ids=["solve", "residual"])
+def test_bad_options_named_before_any_build(run, option, message,
+                                            first_order, monkeypatch):
+    # A first-order solve builds no stencils, so it used to take any p and
+    # stencil mode and converge; each is now named before J is built.
+    grid = generate(GenSpec(kind="quad", nx=5, ny=5))
+
+    def build(*args):
+        raise AssertionError("an operator build started")
+
+    monkeypatch.setattr(solver, "_adjacency", build)
+    with pytest.raises(ValueError, match=message):
+        run(grid, first_order, **option)
 
 
 def test_max_iterations_cap():
